@@ -7,7 +7,7 @@ import os
 import sys
 
 from . import ising
-from .errors import RankDeficientError, VisibilityError
+from .errors import QuadratureError, RankDeficientError, VisibilityError
 from .phases import compute_phases
 from .sweep import SweepConfig, emit_csv, emit_svg, preset, run_sweep
 
@@ -84,7 +84,7 @@ def _cmd_phase(args):
             loop_steps=args.loop_steps, quad_tol=args.quad_tol,
             rank_eps=args.rank_eps,
         )
-    except (RankDeficientError, VisibilityError) as exc:
+    except (QuadratureError, RankDeficientError, VisibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for name in ("gamma_int_pair", "gamma_int_single", "delta_gamma",

@@ -30,6 +30,9 @@ class RankDeficientError(RuntimeError):
 class VisibilityError(RuntimeError):
     """Phase of a complex amplitude with vanishing magnitude is undefined."""
 
-    def __init__(self, magnitude):
-        super().__init__(f"vanishing visibility: |amplitude| = {magnitude:.3e} < 1e-12")
+    def __init__(self, magnitude, threshold):
+        super().__init__(
+            f"vanishing visibility: |amplitude| = {magnitude:.3e} < {threshold:g}"
+        )
         self.magnitude = magnitude
+        self.threshold = threshold

@@ -6,9 +6,13 @@ states:
 * the interferometric phase: argument of the eigenvalue-weighted sum of loop
   amplitudes with the accumulated connection removed, evaluated from the
   spectral decomposition;
-* the purification-transport (Uhlmann) phase: the holonomy unitary is
-  propagated step by step with the commutator-form connection, and the phase
-  is the argument of Tr[rho(0; theta) V(2pi)].
+* the purification-transport (Uhlmann) phase: the holonomy unitary is the
+  ordered product of exp(A(phi) dphi) over a uniform grid of loop.steps
+  points, with the commutator-form connection A, and the phase is the
+  argument of Tr[rho(0; theta) V(2pi)].  Because the loop is a conjugation
+  by e^{K phi}, the product telescopes exactly into a power of one step
+  factor; the result is the same finite-step product, with the same
+  first-order step error, in O(log steps) matrix products.
 
 Both deviations delta_gamma and delta_gamma_u compare the two-site phase
 against twice the single-site phase, each computed with the same code path
@@ -30,7 +34,14 @@ import numpy as np
 
 from .errors import RankDeficientError, VisibilityError
 from .ising import CouplingRatio, correlators
-from .linalg import IDENTITY_2, SIGMA_Z, commutator, hermitian_eigen, sqrt_psd
+from .linalg import (
+    IDENTITY_2,
+    SIGMA_Z,
+    commutator,
+    expm_antihermitian,
+    hermitian_eigen,
+    sqrt_psd,
+)
 from .states import (
     LoopSpec,
     evolve,
@@ -136,7 +147,7 @@ def interferometric_phase_from_eigen(p, v, theta, connection="closed"):
         raise ValueError(f"unknown connection method {connection!r}")
     amplitude = np.sum(p * overlaps * np.exp(-2 * np.pi * rates))
     if abs(amplitude) < _VISIBILITY_EPS:
-        raise VisibilityError(abs(amplitude))
+        raise VisibilityError(abs(amplitude), _VISIBILITY_EPS)
     return float(np.angle(amplitude))
 
 
@@ -200,40 +211,18 @@ def sqrt_rho_derivative_fd(rho, theta, phi, step=1e-5):
     return (s_plus - s_minus) / (2 * step)
 
 
-def _holonomy_matrix(rho, theta, steps):
-    """Ordered product of exp(A(phi_k) dphi) over the uniform phi grid."""
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
+def _holonomy_matrix(a0, k, steps):
+    """Ordered product of exp(A(phi_j) dphi) over the uniform phi grid.
+
+    The family is rho(phi) = e^{K phi} rho(0) e^{-K phi}, so the connection is
+    covariant, A(phi) = e^{K phi} A(0) e^{-K phi}, and the ordered product
+    over phi_j = j dphi, j = 0 .. steps-1, telescopes exactly to
+    e^{2 pi K} (e^{-K dphi} e^{A(0) dphi})^steps.  This is the same finite-step
+    product, not its steps -> inf limit.
+    """
     dphi = 2 * np.pi / steps
-    phis = np.arange(steps) * dphi
-
-    # batched U(phi, theta): diagonal z-phases times the fixed R_y factor
-    if dim == 2:
-        zphase = np.stack([np.exp(0.5j * phis), np.exp(-0.5j * phis)], axis=1)
-    else:
-        ones = np.ones_like(phis)
-        zphase = np.stack([np.exp(1j * phis), ones, ones, np.exp(-1j * phis)], axis=1)
-    ry = _rotation(dim, 0.0, theta)
-    u = zphase[:, :, None] * ry[None, :, :]
-
-    rho_phi = u @ rho @ u.conj().transpose(0, 2, 1)
-    p, v = np.linalg.eigh(rho_phi)
-    vdag = v.conj().transpose(0, 2, 1)
-    sqrt_rho = (v * np.sqrt(np.clip(p, 0.0, None))[:, None, :]) @ vdag
-
-    k = loop_generator(dim)
-    ds = k @ sqrt_rho - sqrt_rho @ k
-    c = ds @ sqrt_rho - sqrt_rho @ ds
-    a = v @ ((vdag @ c @ v) / (p[:, :, None] + p[:, None, :])) @ vdag
-
-    # exp(A dphi) via the Hermitian iA, batched
-    w, q = np.linalg.eigh(1j * a)
-    e = (q * np.exp(-1j * w * dphi)[:, None, :]) @ q.conj().transpose(0, 2, 1)
-
-    holonomy = np.eye(dim, dtype=complex)
-    for ek in e:
-        holonomy = ek @ holonomy
-    return holonomy
+    step = expm_antihermitian(k, -dphi) @ expm_antihermitian(a0, dphi)
+    return expm_antihermitian(k, 2 * np.pi) @ np.linalg.matrix_power(step, steps)
 
 
 def _check_full_rank(rho, rank_eps, lam=None):
@@ -246,7 +235,9 @@ def uhlmann_holonomy(rho, loop: LoopSpec, rank_eps=1e-8):
     """Holonomy unitary V(2pi) accumulated over loop.steps grid points."""
     rho = np.asarray(rho, dtype=complex)
     _check_full_rank(rho, rank_eps)
-    return _holonomy_matrix(rho, loop.theta, loop.steps)
+    k = loop_generator(rho.shape[0])
+    a0 = uhlmann_connection(evolve(rho, 0.0, loop.theta), k, rank_eps)
+    return _holonomy_matrix(a0, k, loop.steps)
 
 
 @dataclass(frozen=True)
@@ -261,11 +252,13 @@ def uhlmann_phase(rho, loop: LoopSpec, rank_eps=1e-8) -> UhlmannResult:
     rho = np.asarray(rho, dtype=complex)
     _check_full_rank(rho, rank_eps)
     base = evolve(rho, 0.0, loop.theta)
+    k = loop_generator(rho.shape[0])
+    a0 = uhlmann_connection(base, k, rank_eps)
 
     def phase_at(steps):
-        t = np.trace(base @ _holonomy_matrix(rho, loop.theta, steps))
+        t = np.trace(base @ _holonomy_matrix(a0, k, steps))
         if abs(t) < _VISIBILITY_EPS:
-            raise VisibilityError(abs(t))
+            raise VisibilityError(abs(t), _VISIBILITY_EPS)
         return float(np.angle(t))
 
     full = phase_at(loop.steps)

@@ -60,8 +60,17 @@ class SweepConfig:
             raise ValueError("r_list must be non-empty with positive entries")
         if not self.theta_list:
             raise ValueError("theta_list must be non-empty")
+        bad_theta = [t for t in self.theta_list if not 0 <= t <= np.pi]
+        if bad_theta:
+            raise ValueError(f"theta_list entries must be in [0, pi], got {bad_theta}")
         if not self.kinds or any(k not in KINDS for k in self.kinds):
             raise ValueError(f"kinds must be a non-empty subset of {KINDS}")
+        if self.loop_steps < 16:
+            raise ValueError(f"loop_steps must be >= 16, got {self.loop_steps}")
+        if not self.quad_tol > 0:
+            raise ValueError(f"quad_tol must be > 0, got {self.quad_tol}")
+        if not self.rank_eps > 0:
+            raise ValueError(f"rank_eps must be > 0, got {self.rank_eps}")
 
     def lambda_grid(self):
         return np.linspace(self.lambda_min, self.lambda_max, self.lambda_steps)

@@ -6,6 +6,7 @@ from tfim_phases.errors import RankDeficientError, VisibilityError
 from tfim_phases.ising import CouplingRatio, correlators
 from tfim_phases.linalg import IDENTITY_2, SIGMA_Z, hermitian_eigen
 from tfim_phases.phases import (
+    _VISIBILITY_EPS,
     compute_phases,
     delta_gamma,
     delta_gamma_u,
@@ -19,7 +20,14 @@ from tfim_phases.phases import (
     uhlmann_phase,
     wrap_angle,
 )
-from tfim_phases.states import LoopSpec, evolve, single_site_state, two_site_state
+from tfim_phases.states import (
+    LoopSpec,
+    evolve,
+    rotation_pair,
+    rotation_single,
+    single_site_state,
+    two_site_state,
+)
 
 THETA = np.pi / 3
 
@@ -45,6 +53,44 @@ def exact_holonomy(rho, theta):
     k = loop_generator(rho.shape[0])
     a0 = uhlmann_connection(evolve(rho, 0.0, theta), k)
     return scipy.linalg.expm(2 * np.pi * k) @ scipy.linalg.expm(2 * np.pi * (a0 - k))
+
+
+def step_by_step_holonomy(rho, theta, steps):
+    """Ordered product of exp(A(phi_k) dphi), diagonalizing rho(phi_k) at every
+    grid point; reference oracle that does not use the covariance of A."""
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0]
+    dphi = 2 * np.pi / steps
+    phis = np.arange(steps) * dphi
+
+    # batched U(phi, theta): diagonal z-phases times the fixed R_y factor
+    if dim == 2:
+        zphase = np.stack([np.exp(0.5j * phis), np.exp(-0.5j * phis)], axis=1)
+        ry = rotation_single(0.0, theta)
+    else:
+        ones = np.ones_like(phis)
+        zphase = np.stack([np.exp(1j * phis), ones, ones, np.exp(-1j * phis)], axis=1)
+        ry = rotation_pair(0.0, theta)
+    u = zphase[:, :, None] * ry[None, :, :]
+
+    rho_phi = u @ rho @ u.conj().transpose(0, 2, 1)
+    p, v = np.linalg.eigh(rho_phi)
+    vdag = v.conj().transpose(0, 2, 1)
+    sqrt_rho = (v * np.sqrt(np.clip(p, 0.0, None))[:, None, :]) @ vdag
+
+    k = loop_generator(dim)
+    ds = k @ sqrt_rho - sqrt_rho @ k
+    c = ds @ sqrt_rho - sqrt_rho @ ds
+    a = v @ ((vdag @ c @ v) / (p[:, :, None] + p[:, None, :])) @ vdag
+
+    # exp(A dphi) via the Hermitian iA, batched
+    w, q = np.linalg.eigh(1j * a)
+    e = (q * np.exp(-1j * w * dphi)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+
+    holonomy = np.eye(dim, dtype=complex)
+    for ek in e:
+        holonomy = ek @ holonomy
+    return holonomy
 
 
 def model_pair(lam, r=1):
@@ -140,8 +186,11 @@ class TestInterferometricPhase:
 
     def test_vanishing_visibility(self):
         # m = 0 at theta = pi/3: the weighted sum is exactly zero
-        with pytest.raises(VisibilityError):
+        with pytest.raises(VisibilityError) as exc:
             interferometric_phase(single_site_state(0.0).matrix, np.pi / 3)
+        assert exc.value.threshold == _VISIBILITY_EPS
+        assert str(exc.value).endswith(f"< {_VISIBILITY_EPS:g}")
+        assert str(VisibilityError(5e-10, 1e-9)).endswith("< 1e-09")
 
     def test_unknown_connection_mode(self):
         with pytest.raises(ValueError):
@@ -258,6 +307,17 @@ class TestUhlmannHolonomy:
     def test_rank_error_propagates(self):
         with pytest.raises(RankDeficientError):
             uhlmann_holonomy(single_site_state(1.0).matrix, LoopSpec(theta=THETA))
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("state", ["single", "pair"])
+    def test_matches_step_by_step_product(self, lam, state):
+        c = correlators(1, CouplingRatio(lam))
+        rho = single_site_state(c.m).matrix if state == "single" else two_site_state(c).matrix
+        for steps in (16, 17, 250, 2001):
+            for theta in (0.0, np.pi / 12, np.pi / 3, np.pi):
+                v = uhlmann_holonomy(rho, LoopSpec(theta=theta, steps=steps))
+                reference = step_by_step_holonomy(rho, theta, steps)
+                assert np.abs(v - reference).max() <= 1e-10, (steps, theta)
 
 
 class TestUhlmannPhase:

@@ -188,6 +188,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SweepConfig(lambda_min=2.0, lambda_max=1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("theta_list", (4.0,)),
+        ("theta_list", (THETA, -0.1)),
+        ("theta_list", (float("nan"),)),
+        ("loop_steps", 15),
+        ("quad_tol", 0.0),
+        ("quad_tol", -1e-10),
+        ("rank_eps", 0.0),
+        ("rank_eps", -1e-8),
+    ])
+    def test_bad_loop_and_tolerance_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        SweepConfig(theta_list=(0.0, np.pi), loop_steps=16)
+
 
 class TestCli:
     def test_correlators_command(self, capsys):
@@ -211,6 +228,27 @@ class TestCli:
                      "--kinds", "uhlmann", "--loop-steps", "64"])
         assert code == 1
         assert "rank_eps" in capsys.readouterr().err
+
+    def test_phase_command_quadrature_error(self, capsys):
+        code = main(["phase", "--lam", "1", "--theta", "1", "--quad-tol", "1e-30"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "residual" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--kinds", "interferometric", "--theta", "4.0"],
+        ["--kinds", "uhlmann", "--theta", "4.0"],
+        ["--kinds", "uhlmann", "--loop-steps", "8"],
+        ["--kinds", "interferometric", "--quad-tol", "0"],
+        ["--kinds", "uhlmann", "--rank-eps=-1e-8"],
+    ])
+    def test_sweep_rejects_bad_values_before_writing(self, tmp_path, capsys, flags):
+        out_csv = tmp_path / "x.csv"
+        code = main(["sweep", "--lam-min", "0.5", "--lam-max", "0.5",
+                     "--lam-steps", "1", "--out", str(out_csv)] + flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_csv.exists()
 
     def test_sweep_command_with_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
