@@ -314,7 +314,9 @@ def compute_phases(lam, r, theta, kinds=("interferometric", "uhlmann"),
 
     Raises the underlying error (quadrature, rank, visibility, unphysical
     state) instead of masking it; sweep drivers map errors to status rows.
+    theta and loop_steps are checked by ``LoopSpec`` for every kind.
     """
+    loop = LoopSpec(theta=theta, steps=loop_steps)
     params = CouplingRatio(lam, quad_tol, quad_max_depth)
     c = correlators(r, params)
     pair = two_site_state(c).matrix
@@ -333,7 +335,6 @@ def compute_phases(lam, r, theta, kinds=("interferometric", "uhlmann"),
     if "uhlmann" in kinds:
         _check_full_rank(pair, rank_eps, lam=lam)
         _check_full_rank(single, rank_eps, lam=lam)
-        loop = LoopSpec(theta=theta, steps=loop_steps)
         res_pair = uhlmann_phase(pair, loop, rank_eps)
         res_single = uhlmann_phase(single, loop, rank_eps)
         gamma_u_pair = res_pair.phase

@@ -105,6 +105,8 @@ def _evaluate_point(args):
         return PhaseRecord(), "quadrature_failure"
     except UnphysicalStateError:
         return PhaseRecord(), "unphysical_state"
+    except (ValueError, np.linalg.LinAlgError, ArithmeticError):
+        return PhaseRecord(), "numerical_error"
 
 
 def _unwrap_family(records, attr, target):

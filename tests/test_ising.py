@@ -1,7 +1,10 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 import scipy.integrate
 
+from tfim_phases import ising
 from tfim_phases.errors import QuadratureError
 from tfim_phases.ising import (
     CouplingRatio,
@@ -40,6 +43,65 @@ def scipy_toeplitz(r, lam):
         0, np.pi, limit=400, epsabs=1e-13, epsrel=1e-13,
     )
     return (i1 - lam * i2) / np.pi
+
+
+# Reference oracle: the same panel trees built depth first, one recursive call
+# and one scalar 15-node sum per panel, one integral at a time.
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+
+def _gauss_panel(f, a, b):
+    mid = (a + b) / 2
+    half = (b - a) / 2
+    return half * float(np.sum(_GAUSS_WEIGHTS * f(mid + half * _GAUSS_NODES)))
+
+
+def _adaptive(f, a, b, tol, depth, max_depth):
+    whole = _gauss_panel(f, a, b)
+    mid = (a + b) / 2
+    left = _gauss_panel(f, a, mid)
+    right = _gauss_panel(f, mid, b)
+    err = abs(left + right - whole)
+    if err <= tol:
+        return left + right
+    if depth >= max_depth:
+        raise QuadratureError(f"no convergence on [{a}, {b}]", err)
+    return (_adaptive(f, a, mid, tol / 2, depth + 1, max_depth)
+            + _adaptive(f, mid, b, tol / 2, depth + 1, max_depth))
+
+
+def quad_adaptive(f, initial_panels, tol=1e-10, max_depth=40):
+    edges = np.linspace(0.0, np.pi, initial_panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        total += _adaptive(f, lo, hi, tol / initial_panels, 0, max_depth)
+    return total
+
+
+def reference_toeplitz(k, lam):
+    panels = ising._panels_for(k, lam)
+    i1 = quad_adaptive(
+        lambda p: np.cos(k * p) * (1 + lam * np.cos(p)) / dispersion(p, lam), panels)
+    i2 = quad_adaptive(lambda p: np.sin(k * p) * np.sin(p) / dispersion(p, lam), panels)
+    return (i1 - lam * i2) / np.pi
+
+
+def reference_magnetization(lam):
+    return quad_adaptive(lambda p: (1 + lam * np.cos(p)) / dispersion(p, lam),
+                         ising._panels_for(0, lam)) / np.pi
+
+
+def reference_energy(lam):
+    return quad_adaptive(lambda p: dispersion(p, lam), ising._panels_for(0, lam)) / np.pi
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """Gives the test its own empty G_k cache; returns a function that empties it."""
+    def reset():
+        monkeypatch.setattr(ising, "_TABLES", OrderedDict())
+    reset()
+    return reset
 
 
 class TestDispersion:
@@ -89,9 +151,11 @@ class TestMagnetization:
 
 class TestToeplitzElements:
     @pytest.mark.parametrize("lam", [0.2, 0.7, 1.0, 1.4])
-    def test_g0_equals_magnetization(self, lam):
+    def test_g0_equals_magnetization(self, lam, fresh_cache):
         params = CouplingRatio(lam)
-        assert abs(toeplitz_element(0, params) - magnetization(params)) <= 2 * params.quad_tol
+        m = magnetization(params)
+        fresh_cache()
+        assert toeplitz_table(5, params)[0] == m
 
     def test_free_limit_vanishes(self):
         assert toeplitz_element(1, CouplingRatio(0.0)) == pytest.approx(0.0, abs=1e-12)
@@ -116,6 +180,57 @@ class TestToeplitzElements:
     def test_separation_cap(self):
         with pytest.raises(ValueError):
             toeplitz_element(10001, CouplingRatio(1.0))
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 0.98, 1.0, 1.02, 1.5, 3.0])
+    def test_matches_recursive_oracle(self, lam, fresh_cache):
+        params = CouplingRatio(lam)
+        table = toeplitz_table(101, params)
+        for k in range(-101, 102):
+            assert abs(table[k] - reference_toeplitz(k, lam)) <= 1e-15, k
+        assert abs(magnetization(params) - reference_magnetization(lam)) <= 1e-15
+        assert abs(ground_energy_density(params) - reference_energy(lam)) <= 1e-15
+
+    @pytest.mark.parametrize("k", [-10**4, 10**4])
+    def test_largest_separation_matches_oracle(self, k, fresh_cache):
+        assert abs(toeplitz_element(k, CouplingRatio(0.98))
+                   - reference_toeplitz(k, 0.98)) <= 1e-15
+
+    def test_value_independent_of_batch(self, fresh_cache):
+        params = CouplingRatio(0.9)
+        alone = toeplitz_element(10, params)
+        fresh_cache()
+        correlators(100, params)
+        assert toeplitz_element(10, params) == alone
+
+    def test_separation_cap_checked_before_quadrature(self, fresh_cache, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(ising, "_integrate", no_quadrature)
+        with pytest.raises(ValueError, match="1e4"):
+            correlators(10**4 + 1, CouplingRatio(0.5))
+
+    def test_unattainable_tolerance_stops_at_panel_bound(self, fresh_cache):
+        with pytest.raises(QuadratureError, match="grew past") as exc:
+            correlators(1, CouplingRatio(1.0, quad_tol=1e-30))
+        assert exc.value.residual > 0
+
+    def test_cache_holds_at_most_its_capacity(self, fresh_cache):
+        lams = np.linspace(0.1, 2.0, 70)
+        for lam in lams:
+            correlators(1, CouplingRatio(float(lam)))
+        assert len(ising._TABLES) == ising._CACHE_SIZE
+        assert (float(lams[-1]), 1e-10, 40) in ising._TABLES
+
+    def test_evicted_coupling_recomputes_same_values(self, fresh_cache):
+        first = CouplingRatio(0.05)
+        before = toeplitz_table(3, first).g
+        for lam in np.linspace(0.1, 2.0, ising._CACHE_SIZE):
+            correlators(1, CouplingRatio(float(lam)))
+        assert (0.05, 1e-10, 40) not in ising._TABLES
+        assert toeplitz_table(3, first).g == before
 
 
 class TestCorrelators:

@@ -3,7 +3,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from tfim_phases import sweep
 from tfim_phases.cli import main
+from tfim_phases.errors import UnphysicalStateError
 from tfim_phases.phases import PhaseRecord
 from tfim_phases.sweep import (
     CSV_HEADER,
@@ -59,6 +61,28 @@ class TestRunSweep:
         parallel = run_sweep(config, workers=2)
         for a, b in zip(serial, parallel):
             assert a == b
+
+    def test_numerical_errors_become_status_rows(self, monkeypatch):
+        raised = [ValueError("bad value"), np.linalg.LinAlgError("singular"),
+                  ZeroDivisionError("division"), FloatingPointError("overflow"),
+                  UnphysicalStateError("not PSD")]
+        statuses = ["numerical_error"] * 4 + ["unphysical_state"]
+
+        def compute_phases(lam, *args, **kwargs):
+            index = round(lam * 10) - 1
+            if index % 2:
+                raise raised[index // 2]
+            return PhaseRecord(gamma_int_pair=0.1, gamma_int_single=0.05,
+                               delta_gamma=0.0)
+
+        monkeypatch.setattr(sweep, "compute_phases", compute_phases)
+        config = small_config(lambda_min=0.1, lambda_max=1.1, lambda_steps=11)
+        records = run_sweep(config, workers=1)
+        expected = ["ok"]
+        for status in statuses:
+            expected += [status, "ok"]
+        assert [x.status for x in records] == expected
+        assert all(x.record.delta_gamma == 0.0 for x in records if x.status == "ok")
 
     def test_unwrap_disabled_copies_principal(self):
         config = small_config(unwrap=False)
@@ -234,6 +258,13 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "residual" in err
+
+    @pytest.mark.parametrize("theta", ["4.0", "-0.1", "nan"])
+    def test_phase_command_rejects_theta_outside_range(self, capsys, theta):
+        code = main(["phase", "--lam", "1", "--theta", theta, "--kinds", "interferometric"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "theta" in err
 
     @pytest.mark.parametrize("flags", [
         ["--kinds", "interferometric", "--theta", "4.0"],
