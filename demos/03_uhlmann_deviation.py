@@ -1,8 +1,9 @@
 """Anatomy of the Uhlmann (purification-transport) phase computation.
 
-Shows the connection at a point, the holonomy unitary, the step-halving
-convergence estimate, and a reduced small-coupling sweep of the deviation
-delta_gamma_u with its slow approach to the product limit.
+Shows the loop model U(phi) = e^{K phi} U(0), the connection at the start
+of the loop, the holonomy unitary, the step-halving convergence estimate,
+and a reduced small-coupling sweep of the deviation delta_gamma_u with its
+slow approach to the product limit.
 
 Run:  python demos/03_uhlmann_deviation.py
 """
@@ -16,6 +17,7 @@ from tfim_phases import (
     LoopSpec,
     correlators,
     evolve,
+    loop_unitary,
     two_site_state,
     uhlmann_connection,
     uhlmann_holonomy,
@@ -27,6 +29,11 @@ OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 THETA = np.pi / 3
 
+print("Loop model: e^{2 pi K} = loop_unitary(2 pi, 0, dim)")
+for dim, name in ((2, "one site"), (4, "pair")):
+    diag = np.diag(loop_unitary(2 * np.pi, 0.0, dim)).real
+    print(f"  {name:8s}: diag = {np.round(diag, 12)}")
+print()
 print("Connection and holonomy at lam = 1.5, r = 1, theta = pi/3")
 rho = two_site_state(correlators(1, CouplingRatio(1.5))).matrix
 a0 = uhlmann_connection(evolve(rho, 0.0, THETA))

@@ -4,8 +4,8 @@ Library layout:
 
 * :mod:`tfim_phases.linalg`  -- small dense Hermitian/unitary kernels
 * :mod:`tfim_phases.ising`   -- thermodynamic-limit correlators + finite-chain oracle
-* :mod:`tfim_phases.states`  -- reduced density matrices and the rotation loop
-* :mod:`tfim_phases.phases`  -- interferometric and Uhlmann phases, deviations
+* :mod:`tfim_phases.states`  -- reduced density matrices and the loop U(phi) = e^{K phi} U(0)
+* :mod:`tfim_phases.phases`  -- both phases and the per-point driver ``compute_phases``
 * :mod:`tfim_phases.sweep`   -- parameter sweeps, CSV/SVG output, presets
 * :mod:`tfim_phases.cli`     -- the ``tfim-phases`` command
 """
@@ -33,8 +33,6 @@ from .ising import (
 from .phases import (
     PhaseRecord,
     compute_phases,
-    delta_gamma,
-    delta_gamma_u,
     interferometric_phase,
     single_site_phase_closed,
     uhlmann_connection,
@@ -45,9 +43,9 @@ from .phases import (
 from .states import (
     LoopSpec,
     evolve,
+    loop_generator,
+    loop_unitary,
     partial_trace,
-    rotation_pair,
-    rotation_single,
     single_site_state,
     two_site_state,
 )

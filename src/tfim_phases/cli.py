@@ -16,6 +16,30 @@ _KIND_CHOICES = {"interferometric": ("interferometric",),
                  "both": ("interferometric", "uhlmann")}
 
 
+def _items(parse):
+    """Parser of a comma-separated config-file value into a tuple."""
+    return lambda raw: tuple(parse(x.strip()) for x in raw.split(",") if x.strip())
+
+
+# SweepConfig field -> (its `sweep` flag, argparse keywords of the flag,
+# parser of its config-file value).  A flag that is given overrides the file.
+_SWEEP_FIELDS = {
+    "lambda_min": ("--lam-min", {"type": float}, float),
+    "lambda_max": ("--lam-max", {"type": float}, float),
+    "lambda_steps": ("--lam-steps", {"type": int}, int),
+    "r_list": ("--r", {"type": int, "nargs": "+"}, _items(int)),
+    "theta_list": ("--theta", {"type": float, "nargs": "+"}, _items(float)),
+    "kinds": ("--kinds", {"choices": sorted(_KIND_CHOICES)}, _items(str)),
+    "loop_steps": ("--loop-steps", {"type": int}, int),
+    "quad_tol": ("--quad-tol", {"type": float}, float),
+    "rank_eps": ("--rank-eps", {"type": float}, float),
+    "unwrap": ("--no-unwrap", {"action": "store_false", "default": None},
+               lambda raw: raw.lower() in ("1", "true", "yes")),
+    "output_path": ("--out", {"help": "CSV output path (overrides config output_path)"},
+                    str),
+}
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="tfim-phases",
@@ -27,30 +51,21 @@ def _build_parser():
     c = sub.add_parser("correlators", help="magnetization and two-site correlators")
     c.add_argument("--lam", type=float, required=True, help="coupling ratio, >= 0")
     c.add_argument("--r", type=int, nargs="+", default=[1], help="site separations")
-    c.add_argument("--quad-tol", type=float, default=1e-10)
+    c.add_argument("--quad-tol", type=float, default=SweepConfig.quad_tol)
 
     ph = sub.add_parser("phase", help="phases at a single (lambda, r, theta) point")
     ph.add_argument("--lam", type=float, required=True)
     ph.add_argument("--r", type=int, default=1)
     ph.add_argument("--theta", type=float, required=True, help="polar angle in radians")
     ph.add_argument("--kinds", choices=sorted(_KIND_CHOICES), default="both")
-    ph.add_argument("--loop-steps", type=int, default=2000)
-    ph.add_argument("--quad-tol", type=float, default=1e-10)
-    ph.add_argument("--rank-eps", type=float, default=1e-8)
+    ph.add_argument("--loop-steps", type=int, default=SweepConfig.loop_steps)
+    ph.add_argument("--quad-tol", type=float, default=SweepConfig.quad_tol)
+    ph.add_argument("--rank-eps", type=float, default=SweepConfig.rank_eps)
 
     sw = sub.add_parser("sweep", help="grid sweep with CSV (and optional SVG) output")
     sw.add_argument("--config", help="key=value file; command-line flags override")
-    sw.add_argument("--lam-min", type=float)
-    sw.add_argument("--lam-max", type=float)
-    sw.add_argument("--lam-steps", type=int)
-    sw.add_argument("--r", type=int, nargs="+")
-    sw.add_argument("--theta", type=float, nargs="+")
-    sw.add_argument("--kinds", choices=sorted(_KIND_CHOICES))
-    sw.add_argument("--loop-steps", type=int)
-    sw.add_argument("--quad-tol", type=float)
-    sw.add_argument("--rank-eps", type=float)
-    sw.add_argument("--no-unwrap", action="store_true")
-    sw.add_argument("--out", help="CSV output path (overrides config output_path)")
+    for field, (flag, options, _) in _SWEEP_FIELDS.items():
+        sw.add_argument(flag, dest=field, **options)
     sw.add_argument("--svg", help="optional SVG output path")
     sw.add_argument("--svg-y", default="delta_gamma_unwrapped")
     sw.add_argument("--workers", type=int, default=1)
@@ -64,7 +79,7 @@ def _build_parser():
     orc.add_argument("--lam", type=float, required=True)
     orc.add_argument("--n-sites", type=int, nargs="+", default=[8, 10, 12])
     orc.add_argument("--r-max", type=int, default=3)
-    orc.add_argument("--quad-tol", type=float, default=1e-10)
+    orc.add_argument("--quad-tol", type=float, default=SweepConfig.quad_tol)
     return p
 
 
@@ -78,15 +93,11 @@ def _cmd_correlators(args):
 
 
 def _cmd_phase(args):
-    try:
-        rec = compute_phases(
-            args.lam, args.r, args.theta, kinds=_KIND_CHOICES[args.kinds],
-            loop_steps=args.loop_steps, quad_tol=args.quad_tol,
-            rank_eps=args.rank_eps,
-        )
-    except (QuadratureError, RankDeficientError, VisibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rec = compute_phases(
+        args.lam, args.r, args.theta, kinds=_KIND_CHOICES[args.kinds],
+        loop_steps=args.loop_steps, quad_tol=args.quad_tol,
+        rank_eps=args.rank_eps,
+    )
     for name in ("gamma_int_pair", "gamma_int_single", "delta_gamma",
                  "gamma_u_pair", "gamma_u_single", "delta_gamma_u"):
         val = getattr(rec, name)
@@ -97,8 +108,9 @@ def _cmd_phase(args):
     return 0
 
 
-def _read_config_file(path):
-    values = {}
+def _config_from_file(path):
+    """SweepConfig keywords from a file of key=value lines (# starts a comment)."""
+    kwargs = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -106,61 +118,22 @@ def _read_config_file(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key] = val
-    return values
-
-
-def _config_from_file(values):
-    kwargs = {}
-    float_keys = {"lambda_min", "lambda_max", "quad_tol", "rank_eps"}
-    int_keys = {"lambda_steps", "loop_steps"}
-    for key, raw in values.items():
-        if key in float_keys:
-            kwargs[key] = float(raw)
-        elif key in int_keys:
-            kwargs[key] = int(raw)
-        elif key == "r_list":
-            kwargs[key] = tuple(int(x) for x in raw.split(",") if x.strip())
-        elif key == "theta_list":
-            kwargs[key] = tuple(float(x) for x in raw.split(",") if x.strip())
-        elif key == "kinds":
-            kwargs[key] = tuple(x.strip() for x in raw.split(",") if x.strip())
-        elif key == "unwrap":
-            kwargs[key] = raw.lower() in ("1", "true", "yes")
-        elif key == "output_path":
-            kwargs[key] = raw
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key not in _SWEEP_FIELDS:
+                raise ValueError(f"unknown config key {key!r}")
+            kwargs[key] = _SWEEP_FIELDS[key][2](raw)
     return kwargs
 
 
 def _cmd_sweep(args):
-    kwargs = {}
-    if args.config:
-        kwargs = _config_from_file(_read_config_file(args.config))
-    if args.lam_min is not None:
-        kwargs["lambda_min"] = args.lam_min
-    if args.lam_max is not None:
-        kwargs["lambda_max"] = args.lam_max
-    if args.lam_steps is not None:
-        kwargs["lambda_steps"] = args.lam_steps
-    if args.r is not None:
-        kwargs["r_list"] = tuple(args.r)
-    if args.theta is not None:
-        kwargs["theta_list"] = tuple(args.theta)
-    if args.kinds is not None:
-        kwargs["kinds"] = _KIND_CHOICES[args.kinds]
-    if args.loop_steps is not None:
-        kwargs["loop_steps"] = args.loop_steps
-    if args.quad_tol is not None:
-        kwargs["quad_tol"] = args.quad_tol
-    if args.rank_eps is not None:
-        kwargs["rank_eps"] = args.rank_eps
-    if args.no_unwrap:
-        kwargs["unwrap"] = False
-    if args.out:
-        kwargs["output_path"] = args.out
+    kwargs = _config_from_file(args.config) if args.config else {}
+    for field in _SWEEP_FIELDS:
+        value = getattr(args, field)
+        if value is None:
+            continue
+        if field == "kinds":
+            value = _KIND_CHOICES[value]
+        kwargs[field] = tuple(value) if isinstance(value, list) else value
     config = SweepConfig(**kwargs)
     if not config.output_path:
         raise ValueError("no output path: pass --out or set output_path in the config file")
@@ -230,7 +203,8 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, QuadratureError, RankDeficientError,
+            VisibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

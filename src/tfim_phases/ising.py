@@ -58,15 +58,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CouplingRatio:
-    """Coupling lam >= 0 plus quadrature settings."""
+    """Finite coupling lam >= 0 plus quadrature settings."""
 
     lam: float
     quad_tol: float = 1e-10
     quad_max_depth: int = 40
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.quad_tol <= 0:
             raise ValueError(f"quad_tol must be > 0, got {self.quad_tol}")
 

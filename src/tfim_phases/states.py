@@ -4,7 +4,8 @@ Basis convention: two-site states live in the product basis
 |00>, |01>, |10>, |11> with site 0 the left tensor factor and |0> the
 Z = +1 state.  The loop unitary is R_z(phi) R_y(theta) applied to every
 site, with half-angle phases taken literally, so a 2*pi z-rotation is -I
-on a single site and +I on a pair.
+on a single site and +I on a pair.  It is built only by ``loop_unitary``,
+as U(phi) = e^{K phi} U(0) with the constant generator K.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import UnphysicalStateError
 from .ising import Correlators
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import IDENTITY_2, SIGMA_Z
 
 __all__ = [
     "SingleSiteState",
@@ -23,12 +24,11 @@ __all__ = [
     "LoopSpec",
     "single_site_state",
     "two_site_state",
-    "rotation_single",
-    "rotation_pair",
+    "loop_generator",
+    "loop_unitary",
     "evolve",
     "partial_trace",
 ]
-
 
 @dataclass(frozen=True)
 class SingleSiteState:
@@ -81,29 +81,34 @@ def two_site_state(c: Correlators) -> TwoSiteState:
     return TwoSiteState(matrix=rho, source=c)
 
 
-def rotation_single(phi: float, theta: float) -> np.ndarray:
-    """R_z(phi) R_y(theta) with half-angle phases on R_z."""
-    rz = np.array([[np.exp(0.5j * phi), 0], [0, np.exp(-0.5j * phi)]])
+def loop_generator(dim: int) -> np.ndarray:
+    """K = (dU/dphi) U^dag: i Z/2 on one site, i (Z x I + I x Z)/2 on the pair."""
+    if dim == 2:
+        return np.diag([0.5j, -0.5j])
+    if dim == 4:
+        return np.diag([1j, 0.0, 0.0, -1j])
+    raise ValueError(f"dim must be 2 or 4, got {dim}")
+
+
+def loop_unitary(phi: float, theta: float, dim: int) -> np.ndarray:
+    """U(phi) = e^{K phi} U(0), U(0) = R_y(theta) on each of the dim // 2 sites.
+
+    K is diagonal, so e^{K phi} is one exponential of its diagonal;
+    ``loop_unitary(phi, 0.0, dim)`` is e^{K phi} alone.
+    """
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     ry = np.array([[c, -s], [s, c]], dtype=complex)
-    return rz @ ry
-
-
-def rotation_pair(phi: float, theta: float) -> np.ndarray:
-    """The same rotation applied to both sites."""
-    u = rotation_single(phi, theta)
-    return np.kron(u, u)
+    if dim == 4:
+        ry = (ry[:, None, :, None] * ry[None, :, None, :]).reshape(4, 4)
+    return np.exp(np.diagonal(loop_generator(dim)) * phi)[:, None] * ry
 
 
 def evolve(rho: np.ndarray, phi: float, theta: float) -> np.ndarray:
-    """U rho U^dag with U chosen by dimension (2 -> single site, 4 -> pair)."""
+    """U(phi) rho U(phi)^dag on one site (2x2) or on the pair (4x4)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape == (2, 2):
-        u = rotation_single(phi, theta)
-    elif rho.shape == (4, 4):
-        u = rotation_pair(phi, theta)
-    else:
+    if rho.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {rho.shape}")
+    u = loop_unitary(phi, theta, rho.shape[0])
     return u @ rho @ u.conj().T
 
 

@@ -50,8 +50,10 @@ class SweepConfig:
     output_path: str = ""
 
     def __post_init__(self):
-        if self.lambda_min < 0:
-            raise ValueError(f"lambda_min must be >= 0, got {self.lambda_min}")
+        if not 0 <= self.lambda_min < np.inf:
+            raise ValueError(f"lambda_min must be finite and >= 0, got {self.lambda_min}")
+        if not np.isfinite(self.lambda_max):
+            raise ValueError(f"lambda_max must be finite, got {self.lambda_max}")
         if self.lambda_max < self.lambda_min:
             raise ValueError("lambda_max must be >= lambda_min")
         if self.lambda_steps < 1:

@@ -22,14 +22,19 @@ from tfim_phases.linalg import hermitian_eigen
 from tfim_phases.phases import (
     interferometric_phase,
     interferometric_phase_from_eigen,
-    loop_generator,
     single_site_phase_closed,
     uhlmann_connection,
     uhlmann_holonomy,
     uhlmann_phase,
     wrap_angle,
 )
-from tfim_phases.states import LoopSpec, evolve, single_site_state, two_site_state
+from tfim_phases.states import (
+    LoopSpec,
+    evolve,
+    loop_generator,
+    single_site_state,
+    two_site_state,
+)
 from tfim_phases.sweep import emit_csv, preset, run_sweep
 
 THETA = np.pi / 3
@@ -131,7 +136,7 @@ def test_criterion_5_uhlmann_invariants():
 
     # first-order convergence of the propagated holonomy (log-log slope)
     k = loop_generator(4)
-    a0 = uhlmann_connection(evolve(pair, 0.0, THETA), k)
+    a0 = uhlmann_connection(evolve(pair, 0.0, THETA))
     v_exact = scipy.linalg.expm(2 * np.pi * k) @ scipy.linalg.expm(2 * np.pi * (a0 - k))
     steps_list = [250, 500, 1000, 2000]
     errors = [

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tfim_phases import linalg, phases
 from tfim_phases.errors import RankDeficientError, VisibilityError
 from tfim_phases.ising import CouplingRatio, correlators
-from tfim_phases.linalg import IDENTITY_2, SIGMA_Z, hermitian_eigen
+from tfim_phases.linalg import IDENTITY_2, SIGMA_Z, commutator, hermitian_eigen, sqrt_psd
 from tfim_phases.phases import (
     _VISIBILITY_EPS,
     compute_phases,
-    delta_gamma,
-    delta_gamma_u,
     interferometric_phase,
     interferometric_phase_from_eigen,
-    loop_generator,
     single_site_phase_closed,
-    sqrt_rho_derivative_fd,
     uhlmann_connection,
     uhlmann_holonomy,
     uhlmann_phase,
@@ -23,8 +20,8 @@ from tfim_phases.phases import (
 from tfim_phases.states import (
     LoopSpec,
     evolve,
-    rotation_pair,
-    rotation_single,
+    loop_generator,
+    loop_unitary,
     single_site_state,
     two_site_state,
 )
@@ -48,10 +45,57 @@ def uhlmann_single_site_closed(m, theta):
     return float(np.angle(amp))
 
 
+def quadrature_interferometric_phase(rho, theta, n_panels=128, fd_step=1e-3):
+    """Interferometric phase with the parallel-transport integral evaluated
+    numerically: composite Simpson over phi of <n|U^dag dU/dphi|n>, with dU
+    from a fourth-order central stencil, so that the comparison with the
+    closed form resolves down to ~1e-12.  Reference oracle."""
+    p, v = hermitian_eigen(rho)
+    dim = len(p)
+
+    def u(phi):
+        return loop_unitary(phi, theta, dim)
+
+    phis = np.linspace(0.0, 2 * np.pi, 2 * n_panels + 1)
+    weights = np.ones_like(phis)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= (phis[1] - phis[0]) / 3.0
+    total = np.zeros(dim, dtype=complex)
+    for phi, w in zip(phis, weights):
+        du = (-u(phi + 2 * fd_step) + 8 * u(phi + fd_step)
+              - 8 * u(phi - fd_step) + u(phi - 2 * fd_step)) / (12 * fd_step)
+        total += w * np.einsum("in,ij,jn->n", v.conj(), u(phi).conj().T @ du, v)
+    rates = total / (2 * np.pi)
+    overlaps = np.einsum("in,ij,jn->n", v.conj(), u(0.0).conj().T @ u(2 * np.pi), v)
+    return float(np.angle(np.sum(p * overlaps * np.exp(-2 * np.pi * rates))))
+
+
+def commutator_connection(rho_phi, rank_eps=1e-8):
+    """Connection <n|[d_phi sqrt(rho), sqrt(rho)]|m> / (p_n + p_m) in the
+    instantaneous eigenbasis, with d_phi sqrt(rho) = [K, sqrt(rho)], mapped
+    back to the fixed basis; reference oracle for the closed form."""
+    k = loop_generator(rho_phi.shape[0])
+    p, v = hermitian_eigen(rho_phi)
+    if p[0] < rank_eps:
+        raise RankDeficientError(float(p[0]), rank_eps)
+    s = sqrt_psd(rho_phi)
+    ct = v.conj().T @ commutator(commutator(k, s), s) @ v
+    a = v @ (ct / (p[:, None] + p[None, :])) @ v.conj().T
+    return (a - a.conj().T) / 2
+
+
+def sqrt_rho_derivative_fd(rho, theta, phi, step=1e-5):
+    """Central finite-difference d_phi sqrt(rho(phi; theta)); test oracle."""
+    s_plus = sqrt_psd(evolve(rho, phi + step, theta))
+    s_minus = sqrt_psd(evolve(rho, phi - step, theta))
+    return (s_plus - s_minus) / (2 * step)
+
+
 def exact_holonomy(rho, theta):
     """Closed-form V(2pi) = exp(2 pi K) exp(2 pi (A(0) - K)); integrator oracle."""
     k = loop_generator(rho.shape[0])
-    a0 = uhlmann_connection(evolve(rho, 0.0, theta), k)
+    a0 = commutator_connection(evolve(rho, 0.0, theta))
     return scipy.linalg.expm(2 * np.pi * k) @ scipy.linalg.expm(2 * np.pi * (a0 - k))
 
 
@@ -66,12 +110,10 @@ def step_by_step_holonomy(rho, theta, steps):
     # batched U(phi, theta): diagonal z-phases times the fixed R_y factor
     if dim == 2:
         zphase = np.stack([np.exp(0.5j * phis), np.exp(-0.5j * phis)], axis=1)
-        ry = rotation_single(0.0, theta)
     else:
         ones = np.ones_like(phis)
         zphase = np.stack([np.exp(1j * phis), ones, ones, np.exp(-1j * phis)], axis=1)
-        ry = rotation_pair(0.0, theta)
-    u = zphase[:, :, None] * ry[None, :, :]
+    u = zphase[:, :, None] * loop_unitary(0.0, theta, dim)[None, :, :]
 
     rho_phi = u @ rho @ u.conj().transpose(0, 2, 1)
     p, v = np.linalg.eigh(rho_phi)
@@ -147,8 +189,8 @@ class TestInterferometricPhase:
     def test_closed_vs_quadrature_connection(self):
         for rho in (single_site_state(0.6).matrix, model_pair(1.2)):
             for theta in (0.4, THETA, 2.0):
-                closed = interferometric_phase(rho, theta, connection="closed")
-                quad = interferometric_phase(rho, theta, connection="quadrature")
+                closed = interferometric_phase(rho, theta)
+                quad = quadrature_interferometric_phase(rho, theta)
                 assert abs(wrap_angle(closed - quad)) <= 1e-10
 
     def test_gauge_invariance(self):
@@ -192,10 +234,6 @@ class TestInterferometricPhase:
         assert str(exc.value).endswith(f"< {_VISIBILITY_EPS:g}")
         assert str(VisibilityError(5e-10, 1e-9)).endswith("< 1e-09")
 
-    def test_unknown_connection_mode(self):
-        with pytest.raises(ValueError):
-            interferometric_phase(single_site_state(0.5).matrix, 1.0, connection="magic")
-
 
 class TestSingleSitePhaseClosed:
     @pytest.mark.parametrize("m,theta", [(0.8, 0.0), (0.8, np.pi / 2), (0.0, 1.1)])
@@ -220,21 +258,25 @@ class TestSingleSitePhaseClosed:
             single_site_phase_closed(1.5, 1.0)
 
 
+def delta_gamma_at(lam, r, theta):
+    return compute_phases(lam, r, theta, kinds=("interferometric",)).delta_gamma
+
+
 class TestDeltaGamma:
     def test_product_limit(self):
-        assert abs(delta_gamma(1e-6, 1, THETA)) <= 1e-6
+        assert abs(delta_gamma_at(1e-6, 1, THETA)) <= 1e-6
 
     def test_frozen_values(self):
         # frozen from an independent scipy.integrate/scipy.linalg evaluation
-        assert delta_gamma(0.5, 1, THETA) == pytest.approx(0.1039775473, abs=1e-8)
-        assert delta_gamma(1.5, 1, THETA) == pytest.approx(1.9459290, abs=1e-6)
+        assert delta_gamma_at(0.5, 1, THETA) == pytest.approx(0.1039775473, abs=1e-8)
+        assert delta_gamma_at(1.5, 1, THETA) == pytest.approx(1.9459290, abs=1e-6)
 
     def test_suppression_deep_in_paramagnet(self):
-        assert abs(delta_gamma(0.5, 10, THETA)) <= 1e-6
+        assert abs(delta_gamma_at(0.5, 10, THETA)) <= 1e-6
 
     def test_curves_converge_above_criticality(self):
-        spread_above = abs(delta_gamma(1.8, 1, THETA) - delta_gamma(1.8, 10, THETA))
-        spread_near = abs(delta_gamma(1.1, 1, THETA) - delta_gamma(1.1, 10, THETA))
+        spread_above = abs(delta_gamma_at(1.8, 1, THETA) - delta_gamma_at(1.8, 10, THETA))
+        spread_near = abs(delta_gamma_at(1.1, 1, THETA) - delta_gamma_at(1.1, 10, THETA))
         assert spread_above < 0.1 * spread_near
 
 
@@ -258,13 +300,25 @@ class TestUhlmannConnection:
             a = uhlmann_connection(evolve(model_pair(lam), phi, theta))
             assert np.abs(a + a.conj().T).max() <= 1e-12
 
+    def test_closed_form_matches_commutator_form(self):
+        # lam >= 0.3 keeps the pair's smallest eigenvalue above ~3e-5: the
+        # oracle's round-off grows like eps / p_min, faster than the closed form's
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            lam = rng.uniform(0.3, 2.0)
+            theta = rng.uniform(0.0, np.pi)
+            phi = rng.uniform(0, 2 * np.pi)
+            c = correlators(int(rng.integers(1, 4)), CouplingRatio(lam))
+            for rho in (two_site_state(c).matrix, single_site_state(c.m).matrix):
+                rho_phi = evolve(rho, phi, theta)
+                oracle = commutator_connection(rho_phi)
+                assert np.abs(uhlmann_connection(rho_phi) - oracle).max() <= 1e-12
+
     def test_rank_deficiency_rejected(self):
         with pytest.raises(RankDeficientError):
             uhlmann_connection(single_site_state(1.0).matrix)
 
     def test_analytic_derivative_matches_finite_difference(self):
-        from tfim_phases.linalg import commutator, sqrt_psd
-
         rho = model_pair(1.2)
         k = loop_generator(4)
         for phi in (0.0, 0.9, 2.5):
@@ -368,24 +422,40 @@ class TestUhlmannPhase:
         assert res.steps == 1000
 
 
+def delta_gamma_u_at(lam, r, theta, steps, rank_eps=1e-8):
+    rec = compute_phases(lam, r, theta, kinds=("uhlmann",), loop_steps=steps,
+                         rank_eps=rank_eps)
+    return rec.delta_gamma_u
+
+
 class TestDeltaGammaU:
     def test_far_separation_paramagnet_vanishes(self):
-        assert abs(delta_gamma_u(0.05, 10, THETA, steps=500)) <= 1e-6
+        assert abs(delta_gamma_u_at(0.05, 10, THETA, steps=500)) <= 1e-6
 
     def test_frozen_value(self):
         # frozen from the independent scipy-based evaluation (steps -> inf
         # limit 0.96598; finite-step value at 600 steps 0.96597...)
-        val = delta_gamma_u(1.0, 1, THETA, steps=2000)
+        val = delta_gamma_u_at(1.0, 1, THETA, steps=2000)
         assert val == pytest.approx(0.9660, abs=2e-3)
 
     def test_rank_error_carries_lambda(self):
         with pytest.raises(RankDeficientError) as exc:
-            delta_gamma_u(0.01, 1, THETA, steps=500)
+            compute_phases(0.01, 1, THETA, kinds=("uhlmann",), loop_steps=500)
         assert exc.value.lam == 0.01
+        assert "at lambda=0.01" in str(exc.value)
 
     def test_relaxed_rank_eps_allows_smaller_lambda(self):
-        val = delta_gamma_u(0.03, 1, THETA, steps=500, rank_eps=1e-10)
+        val = delta_gamma_u_at(0.03, 1, THETA, steps=500, rank_eps=1e-10)
         assert abs(val) < 2e-3
+
+    @pytest.mark.parametrize("rank_eps", [0.0, -1.0, float("nan")])
+    def test_nonpositive_rank_eps_rejected_before_any_work(self, monkeypatch, rank_eps):
+        def no_correlators(*args, **kwargs):
+            raise AssertionError("correlators called")
+
+        monkeypatch.setattr(phases, "correlators", no_correlators)
+        with pytest.raises(ValueError, match="rank_eps"):
+            compute_phases(1.0, 1, THETA, kinds=("uhlmann",), rank_eps=rank_eps)
 
 
 class TestComputePhases:
@@ -404,11 +474,27 @@ class TestComputePhases:
 
     def test_both_kinds_consistent_with_direct_calls(self):
         rec = compute_phases(1.5, 1, THETA, loop_steps=500)
-        assert rec.delta_gamma == pytest.approx(delta_gamma(1.5, 1, THETA), abs=1e-12)
-        assert rec.delta_gamma_u == pytest.approx(
-            delta_gamma_u(1.5, 1, THETA, steps=500), abs=1e-12)
         assert wrap_angle(rec.gamma_int_pair - 2 * rec.gamma_int_single) == pytest.approx(
             rec.delta_gamma, abs=1e-12)
+        assert wrap_angle(rec.gamma_u_pair - 2 * rec.gamma_u_single) == pytest.approx(
+            rec.delta_gamma_u, abs=1e-12)
+
+    @pytest.mark.parametrize("kinds,expected", [
+        (("interferometric",), [4, 2]),
+        (("uhlmann",), [4, 2]),
+        (("interferometric", "uhlmann"), [4, 2, 4, 2]),
+    ])
+    def test_one_decomposition_per_state_and_kind(self, monkeypatch, kinds, expected):
+        shapes = []
+
+        def counting_eigen(m, *args, **kwargs):
+            shapes.append(np.shape(m)[0])
+            return hermitian_eigen(m, *args, **kwargs)
+
+        monkeypatch.setattr(phases, "hermitian_eigen", counting_eigen)
+        monkeypatch.setattr(linalg, "hermitian_eigen", counting_eigen)
+        compute_phases(1.5, 1, THETA, kinds=kinds, loop_steps=64)
+        assert shapes == expected
 
     def test_all_phases_principal(self):
         rec = compute_phases(1.5, 1, THETA, loop_steps=200)

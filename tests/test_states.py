@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tfim_phases.errors import UnphysicalStateError
 from tfim_phases.ising import Correlators, CouplingRatio, correlators
@@ -7,9 +8,9 @@ from tfim_phases.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from tfim_phases.states import (
     LoopSpec,
     evolve,
+    loop_generator,
+    loop_unitary,
     partial_trace,
-    rotation_pair,
-    rotation_single,
     single_site_state,
     two_site_state,
 )
@@ -77,27 +78,62 @@ class TestTwoSiteState:
         assert np.abs(partial_trace(rho, 1) - single).max() <= 1e-12
 
 
+def site_rotation(phi, theta):
+    """R_z(phi) R_y(theta) on one site, written out; reference for loop_unitary."""
+    rz = np.diag([np.exp(0.5j * phi), np.exp(-0.5j * phi)])
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return rz @ np.array([[c, -s], [s, c]])
+
+
 class TestRotations:
     def test_identity(self):
-        assert np.allclose(rotation_single(0.0, 0.0), np.eye(2))
-        assert np.allclose(rotation_pair(0.0, 0.0), np.eye(4))
+        assert np.allclose(loop_unitary(0.0, 0.0, 2), np.eye(2))
+        assert np.allclose(loop_unitary(0.0, 0.0, 4), np.eye(4))
 
     def test_spinor_sign_at_full_turn(self):
-        assert np.abs(rotation_single(2 * np.pi, 0.0) + np.eye(2)).max() <= 1e-14
+        # e^{2 pi K}: the spinor sign -I on one site, +I on the pair
+        assert np.abs(loop_unitary(2 * np.pi, 0.0, 2) + np.eye(2)).max() <= 1e-14
+        assert np.abs(loop_unitary(2 * np.pi, 0.0, 4) - np.eye(4)).max() <= 1e-14
+        for theta in (0.3, 2.0):
+            u0 = loop_unitary(0.0, theta, 2)
+            assert np.abs(loop_unitary(2 * np.pi, theta, 2) + u0).max() <= 1e-14
 
     def test_pair_full_turn_sign_cancels(self):
         theta = 0.8
-        assert np.abs(rotation_pair(2 * np.pi, theta) - rotation_pair(0.0, theta)).max() <= 1e-13
+        full_turn = loop_unitary(2 * np.pi, theta, 4)
+        assert np.abs(full_turn - loop_unitary(0.0, theta, 4)).max() <= 1e-13
+
+    def test_matches_product_of_site_rotations(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            phi, theta = rng.uniform(-2 * np.pi, 2 * np.pi), rng.uniform(0, np.pi)
+            u = site_rotation(phi, theta)
+            assert np.abs(loop_unitary(phi, theta, 2) - u).max() <= 1e-14
+            assert np.abs(loop_unitary(phi, theta, 4) - np.kron(u, u)).max() <= 1e-14
+
+    def test_generator_exponential(self):
+        # U(phi) = e^{K phi} U(0), and theta = 0 gives e^{K phi} alone
+        for dim in (2, 4):
+            k = loop_generator(dim)
+            for phi in (-0.7, 1.3, 2 * np.pi):
+                expected = scipy.linalg.expm(k * phi)
+                assert np.abs(loop_unitary(phi, 0.0, dim) - expected).max() <= 1e-13
+                assert np.abs(loop_unitary(phi, 0.9, dim)
+                              - expected @ loop_unitary(0.0, 0.9, dim)).max() <= 1e-13
+
+    def test_bad_dim(self):
+        with pytest.raises(ValueError, match="dim"):
+            loop_unitary(0.0, 0.0, 3)
 
     def test_quarter_y_rotation(self):
         expected = np.array([[1.0, -1.0], [1.0, 1.0]]) * np.sqrt(2) / 2
-        assert np.allclose(rotation_single(0.0, np.pi / 2), expected)
+        assert np.allclose(loop_unitary(0.0, np.pi / 2, 2), expected)
 
     def test_unitarity(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             phi, theta = rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi)
-            u = rotation_pair(phi, theta)
+            u = loop_unitary(phi, theta, 4)
             assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-14
 
 
@@ -134,7 +170,7 @@ class TestEvolve:
         for _ in range(20):
             phi, theta = rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi)
             rotated = evolve(rho, phi, theta)
-            u = rotation_single(phi, theta)
+            u = site_rotation(phi, theta)
             for axis, sigma in PAULI.items():
                 op = np.kron(u @ sigma @ u.conj().T, u @ sigma @ u.conj().T)
                 val = np.trace(rotated @ op).real

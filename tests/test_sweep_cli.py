@@ -6,6 +6,7 @@ import pytest
 from tfim_phases import sweep
 from tfim_phases.cli import main
 from tfim_phases.errors import UnphysicalStateError
+from tfim_phases.ising import CouplingRatio
 from tfim_phases.phases import PhaseRecord
 from tfim_phases.sweep import (
     CSV_HEADER,
@@ -212,6 +213,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SweepConfig(lambda_min=2.0, lambda_max=1.0)
 
+    @pytest.mark.parametrize("field", ["lambda_min", "lambda_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lambda_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_coupling_rejected(self, value):
+        with pytest.raises(ValueError, match="lam"):
+            CouplingRatio(value)
+
     @pytest.mark.parametrize("field,value", [
         ("theta_list", (4.0,)),
         ("theta_list", (THETA, -0.1)),
@@ -259,6 +271,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "residual" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["correlators", "--lam", "1", "--quad-tol", "1e-30"],
+        ["oracle", "--lam", "1", "--n-sites", "4", "--quad-tol", "1e-30"],
+    ])
+    def test_quadrature_error_is_an_error_line(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "residual" in err
+
+    @pytest.mark.parametrize("rank_eps", ["-1", "0", "nan"])
+    def test_phase_command_rejects_nonpositive_rank_eps(self, capsys, rank_eps):
+        code = main(["phase", "--lam", "0", "--theta", "1", "--kinds", "uhlmann",
+                     f"--rank-eps={rank_eps}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "rank_eps" in captured.err
+        assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_phase_command_rejects_non_finite_lambda(self, capsys, lam):
+        code = main(["phase", "--lam", lam, "--theta", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lam" in err
+
     @pytest.mark.parametrize("theta", ["4.0", "-0.1", "nan"])
     def test_phase_command_rejects_theta_outside_range(self, capsys, theta):
         code = main(["phase", "--lam", "1", "--theta", theta, "--kinds", "interferometric"])
@@ -272,6 +309,7 @@ class TestCli:
         ["--kinds", "uhlmann", "--loop-steps", "8"],
         ["--kinds", "interferometric", "--quad-tol", "0"],
         ["--kinds", "uhlmann", "--rank-eps=-1e-8"],
+        ["--kinds", "interferometric", "--lam-min", "0", "--lam-max", "nan"],
     ])
     def test_sweep_rejects_bad_values_before_writing(self, tmp_path, capsys, flags):
         out_csv = tmp_path / "x.csv"
