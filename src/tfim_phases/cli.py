@@ -85,10 +85,10 @@ def _build_parser():
 
 def _cmd_correlators(args):
     params = ising.CouplingRatio(args.lam, args.quad_tol)
+    rows = [ising.correlators(r, params) for r in args.r]
     print("r,m,c_xx,c_yy,c_zz")
-    for r in args.r:
-        c = ising.correlators(r, params)
-        print(f"{r},{c.m:.12g},{c.c_xx:.12g},{c.c_yy:.12g},{c.c_zz:.12g}")
+    for c in rows:
+        print(f"{c.r},{c.m:.12g},{c.c_xx:.12g},{c.c_yy:.12g},{c.c_zz:.12g}")
     return 0
 
 

@@ -11,8 +11,7 @@ for 0.5 < lam < 2), each bisected until its 15-point halves agree with the
 whole to within its share of the tolerance.  The trees of many k are refined
 together, breadth first, so every level is one vectorized evaluation; a
 value does not depend on which other k were computed with it.  Computed G_k
-are kept per (lam, quad_tol, quad_max_depth) for the most recently used
-couplings.
+are kept per (lam, quad_tol) for the most recently used couplings.
 
 A finite-chain exact-diagonalization oracle is included for testing; it is
 not part of the production path.
@@ -55,6 +54,9 @@ __all__ = [
     "exact_diag_correlators",
 ]
 
+# Round-off allowed on the bounds |m|, |c| <= 1 of a computed observable.
+BOUND_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class CouplingRatio:
@@ -62,7 +64,6 @@ class CouplingRatio:
 
     lam: float
     quad_tol: float = 1e-10
-    quad_max_depth: int = 40
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:
@@ -84,12 +85,11 @@ class Correlators:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"separation r must be >= 1, got {self.r}")
-        slack = 1e-9
         for name in ("m", "c_xx", "c_yy", "c_zz"):
             val = getattr(self, name)
-            if abs(val) > 1 + slack:
+            if abs(val) > 1 + BOUND_SLACK:
                 raise ValueError(f"{name} = {val} outside [-1, 1]")
-        if abs(self.c_zz - self.m**2) > 1 + slack:
+        if abs(self.c_zz - self.m**2) > 1 + BOUND_SLACK:
             raise ValueError(
                 f"connected zz part {self.c_zz - self.m**2} outside [-1, 1]"
             )
@@ -112,9 +112,12 @@ class ToeplitzElements:
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
+# Bisection levels below an initial panel before the quadrature gives up.
+_QUAD_MAX_DEPTH = 40
+
 # An integral whose open panels at one level outnumber this multiple of its
 # initial panels cannot reach its tolerance (round-off floors the residual
-# of every panel); it raises instead of doubling its work up to max_depth.
+# of every panel); it raises instead of doubling its work up to _QUAD_MAX_DEPTH.
 _MAX_PANEL_GROWTH = 32
 
 # Pending G_k are integrated in chunks of about this many initial panels per
@@ -134,13 +137,13 @@ def _gauss_panels(f, a, b, k):
     return half * np.sum(_GAUSS_WEIGHTS * f(phi, k[:, None]), axis=1)
 
 
-def _integrate(f, k, n_panels, tol, max_depth):
+def _integrate(f, k, n_panels, tol):
     """Integrals of f(phi, k[i]) over [0, pi] for every i, by bisected Gauss panels.
 
     Integral i starts from n_panels[i] equal panels with tolerance
     tol / n_panels[i] each.  A panel is accepted when its two halves agree
     with the whole to within its tolerance; otherwise both halves are
-    refined with half the tolerance, up to max_depth levels.  Every level
+    refined with half the tolerance, up to _QUAD_MAX_DEPTH levels.  Every level
     evaluates the open panels of all integrals in one call, and each child
     reuses its parent's half-panel sum as its whole.  The values are summed
     back up each panel tree and then across the initial panels in order, so
@@ -166,7 +169,7 @@ def _integrate(f, k, n_panels, tol, max_depth):
         if split.size == 0:
             break
         worst = split[np.argmax(err[split])]
-        if depth >= max_depth:
+        if depth >= _QUAD_MAX_DEPTH:
             raise QuadratureError(
                 f"quadrature did not converge on [{a[worst]:.6g}, {b[worst]:.6g}] "
                 f"at depth {depth}", err[worst])
@@ -227,7 +230,7 @@ def _compute_elements(ks, params):
     chunk_of = (np.cumsum(panels) - panels) // _CHUNK_PANELS
     for chunk in np.unique(chunk_of):
         sel = chunk_of == chunk
-        args = (ks[sel].astype(float), panels[sel], params.quad_tol, params.quad_max_depth)
+        args = (ks[sel].astype(float), panels[sel], params.quad_tol)
         g = (_integrate(cos_part, *args) - lam * _integrate(sin_part, *args)) / np.pi
         yield from zip(ks[sel].tolist(), g.tolist())
 
@@ -238,7 +241,7 @@ def _toeplitz_elements(ks, params):
     too_far = [k for k in ks if abs(k) > 10**4]
     if too_far:
         raise ValueError(f"|r| must be <= 1e4, got {too_far[0]}")
-    key = (params.lam, params.quad_tol, params.quad_max_depth)
+    key = (params.lam, params.quad_tol)
     table = _TABLES.pop(key, None)
     if table is None:
         table = {}
@@ -319,14 +322,16 @@ def ground_energy_density(params: CouplingRatio) -> float:
     """
     lam = params.lam
     (integral,) = _integrate(lambda phi, k: dispersion(phi, lam), np.zeros(1),
-                             np.array([_panels_for(0, lam)]), params.quad_tol,
-                             params.quad_max_depth)
+                             np.array([_panels_for(0, lam)]), params.quad_tol)
     return float(integral / np.pi)
 
 
 # ---------------------------------------------------------------------------
 # finite-chain exact-diagonalization oracle (testing only)
 # ---------------------------------------------------------------------------
+
+_DEGENERACY_GAP = 1e-8
+
 
 def _chain_hamiltonian(n_sites, lam):
     dim = 1 << n_sites
@@ -340,12 +345,12 @@ def _chain_hamiltonian(n_sites, lam):
     return h
 
 
-def exact_diag_correlators(n_sites: int, lam: float, gap_tol=1e-8):
+def exact_diag_correlators(n_sites: int, lam: float):
     """Ground-state correlators of the periodic chain with n_sites spins.
 
     Dense diagonalization of the full 2^n Hamiltonian; returns a dict
     {r: Correlators} for r = 1 .. n_sites // 2.  When the two lowest states
-    are quasi-degenerate (gap < gap_tol, ordered phase at finite size),
+    are quasi-degenerate (gap < _DEGENERACY_GAP, ordered phase at finite size),
     expectation values are averaged over both.
     """
     if n_sites < 4 or n_sites > 12 or n_sites % 2:
@@ -355,7 +360,7 @@ def exact_diag_correlators(n_sites: int, lam: float, gap_tol=1e-8):
     h = _chain_hamiltonian(n_sites, lam)
     w, v = scipy.linalg.eigh(h, subset_by_index=[0, 1])
     states = [v[:, 0]]
-    if w[1] - w[0] < gap_tol:
+    if w[1] - w[0] < _DEGENERACY_GAP:
         states.append(v[:, 1])
 
     dim = 1 << n_sites

@@ -15,6 +15,10 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
+# Largest max|M - M^dag| (max|A + A^dag|) accepted as round-off.
+_HERMITICITY_TOL = 1e-12
+_ANTIHERMITICITY_TOL = 1e-10
+
 
 class HermitianEigen(NamedTuple):
     """Eigenvalues (ascending) and orthonormal eigenvector columns."""
@@ -23,39 +27,25 @@ class HermitianEigen(NamedTuple):
     vectors: np.ndarray
 
 
-def hermiticity_defect(m):
-    """max |M - M^dag|, elementwise."""
-    m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
-
-
-def hermitian_eigen(m, tol=1e-12):
+def hermitian_eigen(m):
     """Eigendecomposition of a Hermitian matrix with a fixed phase convention.
 
     The input is symmetrized before decomposition; a deviation from
-    Hermiticity larger than `tol` raises.  Each eigenvector is rephased so
-    that its largest-magnitude component is real and positive, which makes
-    the output deterministic.
+    Hermiticity larger than _HERMITICITY_TOL raises.  Each eigenvector is
+    rephased so that its largest-magnitude component is real and positive,
+    which makes the output deterministic.
     """
     m = np.asarray(m, dtype=complex)
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} > {tol:.1e}")
+    defect = float(np.abs(m - m.conj().T).max())
+    if defect > _HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
+                         f"> {_HERMITICITY_TOL:.1e}")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     for k in range(v.shape[1]):
         pivot = int(np.argmax(np.abs(v[:, k])))
         phase = v[pivot, k] / abs(v[pivot, k])
         v[:, k] = v[:, k] / phase
     return HermitianEigen(w, v)
-
-
-def sqrt_psd(m, neg_tol=1e-12):
-    """Hermitian PSD square root; eigenvalues in [-neg_tol, 0) are clamped to 0."""
-    w, v = hermitian_eigen(m)
-    if w[0] < -neg_tol:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -{neg_tol:.1e}")
-    s = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    return (s + s.conj().T) / 2
 
 
 def det_real(m):
@@ -68,23 +58,15 @@ def det_real(m):
     return float(np.linalg.det(m))
 
 
-def expm_antihermitian(a, s=1.0, tol=1e-10):
+def expm_antihermitian(a, s=1.0):
     """exp(A*s) for anti-Hermitian A, via the spectral form of the Hermitian iA.
 
     The result is unitary to round-off by construction.
     """
     a = np.asarray(a, dtype=complex)
     defect = float(np.abs(a + a.conj().T).max())
-    if defect > tol:
-        raise ValueError(f"matrix is not anti-Hermitian: max|A + A^dag| = {defect:.3e} > {tol:.1e}")
+    if defect > _ANTIHERMITICITY_TOL:
+        raise ValueError(f"matrix is not anti-Hermitian: max|A + A^dag| = {defect:.3e} "
+                         f"> {_ANTIHERMITICITY_TOL:.1e}")
     w, v = np.linalg.eigh(1j * (a - a.conj().T) / 2)
     return (v * np.exp(-1j * w * s)) @ v.conj().T
-
-
-def commutator(a, b):
-    """AB - BA."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a

@@ -60,6 +60,9 @@ __all__ = [
 
 _VISIBILITY_EPS = 1e-12
 
+# A state whose smallest eigenvalue is below this has no Uhlmann phase.
+RANK_EPS = 1e-8
+
 
 def wrap_angle(x):
     """Reduce an angle (or array of angles) to the interval (-pi, pi]."""
@@ -131,7 +134,7 @@ def _loop_start(rho, theta, rank_eps):
     return (w * p) @ w_dag, w @ a_eig @ w_dag
 
 
-def uhlmann_connection(rho, rank_eps=1e-8):
+def uhlmann_connection(rho, rank_eps=RANK_EPS):
     """Anti-Hermitian transport connection A(0) of e^{K phi} rho e^{-K phi}."""
     return _loop_start(rho, 0.0, rank_eps)[1]
 
@@ -151,7 +154,7 @@ def _holonomy_matrix(a0, steps):
     return loop_unitary(2 * np.pi, 0.0, dim) @ np.linalg.matrix_power(step, steps)
 
 
-def uhlmann_holonomy(rho, loop: LoopSpec, rank_eps=1e-8):
+def uhlmann_holonomy(rho, loop: LoopSpec, rank_eps=RANK_EPS):
     """Holonomy unitary V(2pi) accumulated over loop.steps grid points."""
     _, a0 = _loop_start(rho, loop.theta, rank_eps)
     return _holonomy_matrix(a0, loop.steps)
@@ -164,7 +167,7 @@ class UhlmannResult:
     steps: int
 
 
-def uhlmann_phase(rho, loop: LoopSpec, rank_eps=1e-8) -> UhlmannResult:
+def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult:
     """Phase arg Tr[rho(0; theta) V(2pi)] with a step-halving error estimate."""
     base, a0 = _loop_start(rho, loop.theta, rank_eps)
 
@@ -202,11 +205,12 @@ class PhaseRecord:
     gamma_u_single: float | None = None
     delta_gamma_u: float | None = None
     steps_used: int = 0
-    convergence_estimate: float = 0.0
+    convergence_estimate: float | None = None
 
 
 def compute_phases(lam, r, theta, kinds=("interferometric", "uhlmann"),
-                   loop_steps=2000, quad_tol=1e-10, rank_eps=1e-8) -> PhaseRecord:
+                   loop_steps=LoopSpec.steps, quad_tol=CouplingRatio.quad_tol,
+                   rank_eps=RANK_EPS) -> PhaseRecord:
     """Evaluate the requested phase kinds at one parameter point.
 
     Raises the underlying error (quadrature, rank, visibility, unphysical
@@ -224,7 +228,7 @@ def compute_phases(lam, r, theta, kinds=("interferometric", "uhlmann"),
     gamma_int_pair = gamma_int_single = dg = None
     gamma_u_pair = gamma_u_single = dgu = None
     steps_used = 0
-    convergence = 0.0
+    convergence = None
 
     if "interferometric" in kinds:
         gamma_int_pair = interferometric_phase(pair, theta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalStateError
-from .ising import Correlators
+from .ising import BOUND_SLACK, Correlators
 from .linalg import IDENTITY_2, SIGMA_Z
 
 __all__ = [
@@ -29,6 +29,12 @@ __all__ = [
     "evolve",
     "partial_trace",
 ]
+
+MIN_LOOP_STEPS = 16
+
+# Smallest eigenvalue a two-site state may have before it is unphysical.
+_PSD_FLOOR = -1e-10
+
 
 @dataclass(frozen=True)
 class SingleSiteState:
@@ -52,13 +58,13 @@ class LoopSpec:
     def __post_init__(self):
         if not 0 <= self.theta <= np.pi:
             raise ValueError(f"theta must be in [0, pi], got {self.theta}")
-        if self.steps < 16:
-            raise ValueError(f"steps must be >= 16, got {self.steps}")
+        if self.steps < MIN_LOOP_STEPS:
+            raise ValueError(f"steps must be >= {MIN_LOOP_STEPS}, got {self.steps}")
 
 
 def single_site_state(m: float) -> SingleSiteState:
     """(I + m Z) / 2 with |m| <= 1 (tiny overshoot clamped)."""
-    if abs(m) > 1 + 1e-9:
+    if abs(m) > 1 + BOUND_SLACK:
         raise ValueError(f"|m| = {abs(m)} exceeds 1 beyond tolerance")
     m = float(np.clip(m, -1.0, 1.0))
     return SingleSiteState(matrix=(IDENTITY_2 + m * SIGMA_Z) / 2, m=m)
@@ -74,9 +80,9 @@ def two_site_state(c: Correlators) -> TwoSiteState:
     rho[0, 3] = rho[3, 0] = (c.c_xx - c.c_yy) / 4
     rho[1, 2] = rho[2, 1] = (c.c_xx + c.c_yy) / 4
     min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < -1e-10:
+    if min_eig < _PSD_FLOOR:
         raise UnphysicalStateError(
-            f"correlator set gives min eigenvalue {min_eig:.3e} < -1e-10"
+            f"correlator set gives min eigenvalue {min_eig:.3e} < {_PSD_FLOOR:g}"
         )
     return TwoSiteState(matrix=rho, source=c)
 

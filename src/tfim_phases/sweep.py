@@ -13,7 +13,9 @@ from .errors import (
     UnphysicalStateError,
     VisibilityError,
 )
-from .phases import PhaseRecord, compute_phases
+from .ising import CouplingRatio
+from .phases import RANK_EPS, PhaseRecord, compute_phases
+from .states import MIN_LOOP_STEPS, LoopSpec
 
 __all__ = [
     "SweepConfig",
@@ -28,11 +30,19 @@ __all__ = [
 
 KINDS = ("interferometric", "uhlmann")
 
-CSV_HEADER = (
-    "lambda,r,theta,gamma_int_2site,gamma_int_1site,delta_gamma,"
-    "delta_gamma_unwrapped,gamma_u_2site,gamma_u_1site,delta_gamma_u,"
-    "delta_gamma_u_unwrapped,steps,quad_tol,status"
-)
+# CSV columns 4-11 in order; each of them can also be the y axis of an SVG.
+_Y_COLUMNS = {
+    "gamma_int_2site": lambda x: x.record.gamma_int_pair,
+    "gamma_int_1site": lambda x: x.record.gamma_int_single,
+    "delta_gamma": lambda x: x.record.delta_gamma,
+    "delta_gamma_unwrapped": lambda x: x.delta_gamma_unwrapped,
+    "gamma_u_2site": lambda x: x.record.gamma_u_pair,
+    "gamma_u_1site": lambda x: x.record.gamma_u_single,
+    "delta_gamma_u": lambda x: x.record.delta_gamma_u,
+    "delta_gamma_u_unwrapped": lambda x: x.delta_gamma_u_unwrapped,
+}
+
+CSV_HEADER = ",".join(["lambda", "r", "theta", *_Y_COLUMNS, "steps", "quad_tol", "status"])
 
 
 @dataclass(frozen=True)
@@ -43,9 +53,9 @@ class SweepConfig:
     r_list: tuple = (1,)
     theta_list: tuple = (np.pi / 3,)
     kinds: tuple = KINDS
-    loop_steps: int = 2000
-    quad_tol: float = 1e-10
-    rank_eps: float = 1e-8
+    loop_steps: int = LoopSpec.steps
+    quad_tol: float = CouplingRatio.quad_tol
+    rank_eps: float = RANK_EPS
     unwrap: bool = True
     output_path: str = ""
 
@@ -67,8 +77,8 @@ class SweepConfig:
             raise ValueError(f"theta_list entries must be in [0, pi], got {bad_theta}")
         if not self.kinds or any(k not in KINDS for k in self.kinds):
             raise ValueError(f"kinds must be a non-empty subset of {KINDS}")
-        if self.loop_steps < 16:
-            raise ValueError(f"loop_steps must be >= 16, got {self.loop_steps}")
+        if self.loop_steps < MIN_LOOP_STEPS:
+            raise ValueError(f"loop_steps must be >= {MIN_LOOP_STEPS}, got {self.loop_steps}")
         if not self.quad_tol > 0:
             raise ValueError(f"quad_tol must be > 0, got {self.quad_tol}")
         if not self.rank_eps > 0:
@@ -170,33 +180,15 @@ def _fmt(x):
     return "" if x is None else format(x, ".12g")
 
 
-def _row_fields(rec: SweepRecord):
-    r = rec.record
-    return [
-        _fmt(rec.lam),
-        str(rec.r),
-        _fmt(rec.theta),
-        _fmt(r.gamma_int_pair),
-        _fmt(r.gamma_int_single),
-        _fmt(r.delta_gamma),
-        _fmt(rec.delta_gamma_unwrapped),
-        _fmt(r.gamma_u_pair),
-        _fmt(r.gamma_u_single),
-        _fmt(r.delta_gamma_u),
-        _fmt(rec.delta_gamma_u_unwrapped),
-        str(r.steps_used),
-        "",
-        rec.status,
-    ]
+def _row_fields(rec: SweepRecord, quad_tol):
+    return [_fmt(rec.lam), str(rec.r), _fmt(rec.theta),
+            *(_fmt(get(rec)) for get in _Y_COLUMNS.values()),
+            str(rec.record.steps_used), _fmt(quad_tol), rec.status]
 
 
-def emit_csv(records, path, quad_tol=1e-10):
+def emit_csv(records, path, quad_tol=CouplingRatio.quad_tol):
     """Write records in grid order; floats carry 12 significant digits."""
-    lines = [CSV_HEADER]
-    for rec in records:
-        fields = _row_fields(rec)
-        fields[12] = _fmt(quad_tol)
-        lines.append(",".join(fields))
+    lines = [CSV_HEADER] + [",".join(_row_fields(rec, quad_tol)) for rec in records]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -212,7 +204,7 @@ def read_csv(path):
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected header in {path}")
     records = []
-    quad_tol = 1e-10
+    quad_tol = CouplingRatio.quad_tol
     for ln in lines[1:]:
         f = ln.split(",")
         if len(f) != 14:
@@ -225,7 +217,6 @@ def read_csv(path):
             gamma_u_single=_parse(f[8]),
             delta_gamma_u=_parse(f[9]),
             steps_used=int(f[11]),
-            convergence_estimate=0.0,
         )
         quad_tol = float(f[12]) if f[12] else quad_tol
         records.append(SweepRecord(
@@ -240,17 +231,6 @@ def read_csv(path):
 # ---------------------------------------------------------------------------
 # SVG
 # ---------------------------------------------------------------------------
-
-_Y_COLUMNS = {
-    "gamma_int_2site": lambda x: x.record.gamma_int_pair,
-    "gamma_int_1site": lambda x: x.record.gamma_int_single,
-    "delta_gamma": lambda x: x.record.delta_gamma,
-    "delta_gamma_unwrapped": lambda x: x.delta_gamma_unwrapped,
-    "gamma_u_2site": lambda x: x.record.gamma_u_pair,
-    "gamma_u_1site": lambda x: x.record.gamma_u_single,
-    "delta_gamma_u": lambda x: x.record.delta_gamma_u,
-    "delta_gamma_u_unwrapped": lambda x: x.delta_gamma_u_unwrapped,
-}
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#7f7f7f")

@@ -137,9 +137,10 @@ class TestMagnetization:
         assert magnetization(CouplingRatio(lam)) == pytest.approx(
             scipy_magnetization(lam), abs=1e-9)
 
-    def test_nonconvergence_raises_with_residual(self):
+    def test_nonconvergence_raises_with_residual(self, monkeypatch, fresh_cache):
+        monkeypatch.setattr(ising, "_QUAD_MAX_DEPTH", 2)
         with pytest.raises(QuadratureError) as exc:
-            magnetization(CouplingRatio(0.999999, quad_tol=1e-15, quad_max_depth=2))
+            magnetization(CouplingRatio(0.999999, quad_tol=1e-15))
         assert exc.value.residual > 0
 
     def test_invalid_params(self):
@@ -222,14 +223,14 @@ class TestBatchedQuadrature:
         for lam in lams:
             correlators(1, CouplingRatio(float(lam)))
         assert len(ising._TABLES) == ising._CACHE_SIZE
-        assert (float(lams[-1]), 1e-10, 40) in ising._TABLES
+        assert (float(lams[-1]), 1e-10) in ising._TABLES
 
     def test_evicted_coupling_recomputes_same_values(self, fresh_cache):
         first = CouplingRatio(0.05)
         before = toeplitz_table(3, first).g
         for lam in np.linspace(0.1, 2.0, ising._CACHE_SIZE):
             correlators(1, CouplingRatio(float(lam)))
-        assert (0.05, 1e-10, 40) not in ising._TABLES
+        assert (0.05, 1e-10) not in ising._TABLES
         assert toeplitz_table(3, first).g == before
 
 

@@ -5,12 +5,13 @@ from tfim_phases.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    commutator,
     det_real,
     expm_antihermitian,
     hermitian_eigen,
-    sqrt_psd,
 )
+
+# test-only kernels, defined beside the connection oracles that use them
+from test_phases import commutator, sqrt_psd
 
 
 def random_hermitian(rng, dim):

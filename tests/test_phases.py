@@ -5,7 +5,7 @@ import scipy.linalg
 from tfim_phases import linalg, phases
 from tfim_phases.errors import RankDeficientError, VisibilityError
 from tfim_phases.ising import CouplingRatio, correlators
-from tfim_phases.linalg import IDENTITY_2, SIGMA_Z, commutator, hermitian_eigen, sqrt_psd
+from tfim_phases.linalg import IDENTITY_2, SIGMA_Z, hermitian_eigen
 from tfim_phases.phases import (
     _VISIBILITY_EPS,
     compute_phases,
@@ -69,6 +69,24 @@ def quadrature_interferometric_phase(rho, theta, n_panels=128, fd_step=1e-3):
     rates = total / (2 * np.pi)
     overlaps = np.einsum("in,ij,jn->n", v.conj(), u(0.0).conj().T @ u(2 * np.pi), v)
     return float(np.angle(np.sum(p * overlaps * np.exp(-2 * np.pi * rates))))
+
+
+def sqrt_psd(m):
+    """Hermitian PSD square root; eigenvalues in [-1e-12, 0) are clamped to 0."""
+    w, v = hermitian_eigen(m)
+    if w[0] < -1e-12:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -1.0e-12")
+    s = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    return (s + s.conj().T) / 2
+
+
+def commutator(a, b):
+    """AB - BA."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a @ b - b @ a
 
 
 def commutator_connection(rho_phi, rank_eps=1e-8):
@@ -464,6 +482,7 @@ class TestComputePhases:
         assert rec.delta_gamma is not None
         assert rec.gamma_u_pair is None
         assert rec.steps_used == 0
+        assert rec.convergence_estimate is None
 
     def test_uhlmann_only(self):
         rec = compute_phases(1.2, 1, THETA, kinds=("uhlmann",), loop_steps=200)

@@ -149,6 +149,8 @@ class TestCsv:
         parsed, quad_tol = read_csv(p1)
         emit_csv(parsed, p2, quad_tol=quad_tol)
         assert p1.read_bytes() == p2.read_bytes()
+        # the CSV has no convergence column, so none is read back
+        assert all(x.record.convergence_estimate is None for x in parsed)
 
 
 class TestSvg:
@@ -277,8 +279,9 @@ class TestCli:
     ])
     def test_quadrature_error_is_an_error_line(self, capsys, argv):
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "residual" in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "residual" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("rank_eps", ["-1", "0", "nan"])
     def test_phase_command_rejects_nonpositive_rank_eps(self, capsys, rank_eps):
