@@ -28,7 +28,6 @@ from .ising import (
     ground_energy_density,
     magnetization,
     toeplitz_element,
-    toeplitz_table,
 )
 from .phases import (
     PhaseRecord,

@@ -168,14 +168,15 @@ def _cmd_preset(args):
 
 def _cmd_oracle(args):
     params = ising.CouplingRatio(args.lam, args.quad_tol)
+    for n in args.n_sites:
+        ising.check_chain_size(n)
     r_values = list(range(1, args.r_max + 1))
     thermo = {r: ising.correlators(r, params) for r in r_values}
+    # every row is computed before any output, so a failure leaves none
+    table = {n: ising.exact_diag_correlators(n, args.lam) for n in sorted(args.n_sites)}
     print(f"# thermodynamic limit vs exact diagonalization at lambda = {args.lam:g}")
     print("n_sites,r,m_ed,m_inf,c_xx_ed,c_xx_inf,c_yy_ed,c_yy_inf,c_zz_ed,c_zz_inf")
-    table = {}
-    for n in sorted(args.n_sites):
-        ed = ising.exact_diag_correlators(n, args.lam)
-        table[n] = ed
+    for n, ed in table.items():
         for r in r_values:
             if r not in ed:
                 continue

@@ -2,7 +2,11 @@
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The Toeplitz elements cannot be computed to the requested tolerance.
+
+    The name is kept from the adaptive quadrature that the closed form
+    replaced; ``residual`` is the error floor of the closed form.
+    """
 
     def __init__(self, message, residual):
         super().__init__(f"{message} (residual estimate {residual:.3e})")

@@ -1,17 +1,35 @@
 """Zero-temperature observables of the transverse-field Ising chain.
 
-Thermodynamic-limit magnetization and two-site correlators are obtained from
-integrals over the quasiparticle band (Barouch and McCoy, Phys. Rev. A 3, 786
-(1971)).  The transverse correlators are Toeplitz determinants built from the
-integral elements G_k, and the magnetization is G_0.
+Thermodynamic-limit magnetization and two-site correlators follow Barouch
+and McCoy, Phys. Rev. A 3, 786 (1971).  The transverse correlators are
+Toeplitz determinants of the elements
 
-Each G_k is a cosine and a sine integral over [0, pi], each with its own
-adaptive Gauss-Legendre panel tree: |k| // 2 + 2 initial panels (at least 8
-for 0.5 < lam < 2), each bisected until its 15-point halves agree with the
-whole to within its share of the tolerance.  The trees of many k are refined
-together, breadth first, so every level is one vectorized evaluation; a
-value does not depend on which other k were computed with it.  Computed G_k
-are kept per (lam, quad_tol) for the most recently used couplings.
+    G_k = (1/pi) int_0^pi [cos(k phi) + lam cos((k+1) phi)] / eps(phi) dphi,
+
+the Fourier coefficients of the unimodular symbol (1 + lam e^{i phi}) /
+|1 + lam e^{i phi}|, and the magnetization is G_0.  No integral is evaluated:
+
+* Seeds.  With m = 4 lam / (1 + lam)^2, G_0 = ((1+lam) E(m) + (1-lam) K(m))/pi
+  and G_{-1} = ((1+lam) E(m) - (1-lam) K(m))/(pi lam).  K and E come from
+  arithmetic-geometric means, with E from Legendre's relation so that no
+  digits cancel as lam -> 1 (DLMF 19.7.1, 19.8).
+* Recurrence.  For every integer k,
+  lam (k - 1/2) G_{k-1} + ((1 + lam^2) k + lam^2) G_k + lam (k + 3/2) G_{k+1} = 0.
+  G_k decays like lam^|k| on both sides, so it is the minimal solution in
+  both directions.  Near lam = 1, where lam^(-2 n) stays small over the
+  requested range |k| <= n, the recurrence runs outward from the two seeds.
+  Elsewhere it runs inward from far outside the range (Miller's algorithm,
+  as continued-fraction ratios G_k / G_{k-1}) and is normalised by G_0.
+* Special couplings.  G_k = delta_k0 at lam = 0 and
+  G_k = (-1)^k 2 / (pi (2k + 1)) at lam = 1; for lam > 1,
+  G_k(lam) = G_{-k-1}(1/lam).
+
+The result is within ERROR_FLOOR of the exact G_k for every coupling and
+|k| <= 10^4 (checked against high-precision hypergeometric values in the
+test suite).  The quad_tol of a CouplingRatio is an accuracy request: one
+below ERROR_FLOOR cannot be met and raises QuadratureError.  The names
+quad_tol and QuadratureError are kept from the quadrature that the closed
+form replaced.
 
 A finite-chain exact-diagonalization oracle is included for testing; it is
 not part of the production path.
@@ -19,7 +37,8 @@ not part of the production path.
 Hamiltonian convention: H = -lam * sum_j X_j X_{j+1} - sum_j Z_j with periodic
 boundaries.  The critical coupling is lam = 1.
 
-Sign convention of G_k: the second (sine) integral enters with a minus sign.
+Sign convention of G_k: the lam cos((k+1) phi) term enters with a plus sign,
+that is, the sine integral of the textbook form enters with a minus sign.
 This is the convention under which the nearest-neighbor x-correlator is
 positive in the ordered phase and the ground-state energy sum rule
 lam*c_xx(1) + m = energy density holds; both are enforced against the
@@ -28,9 +47,8 @@ exact-diagonalization oracle in the test suite.
 
 from __future__ import annotations
 
-import itertools
-from collections import OrderedDict
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -41,26 +59,48 @@ from .linalg import det_real
 __all__ = [
     "CouplingRatio",
     "Correlators",
-    "ToeplitzElements",
+    "ERROR_FLOOR",
     "dispersion",
     "magnetization",
     "toeplitz_element",
-    "toeplitz_table",
     "correlator_xx",
     "correlator_yy",
     "correlator_zz",
     "correlators",
     "ground_energy_density",
+    "check_chain_size",
     "exact_diag_correlators",
 ]
 
 # Round-off allowed on the bounds |m|, |c| <= 1 of a computed observable.
 BOUND_SLACK = 1e-9
 
+# Bound on the absolute error of a computed G_k, |k| <= 10^4, at any
+# coupling.  The worst measured is 3.1e-13, at |k| = 10^4 within 1e-3 of
+# lam = 1.  A quad_tol below it cannot be met.
+ERROR_FLOOR = 1e-12
+
+# Largest separation |k| whose G_k is computed.
+_MAX_SEPARATION = 10**4
+
+# Iterations of each arithmetic-geometric mean.  The smallest modulus that a
+# finite coupling gives, k ~ 1e-162, converges in 12.
+_AGM_STEPS = 24
+
+# The recurrence runs outward from the seeds when lam^(-2 n) <= e^this and
+# lam >= 1/2.  Outward, round-off grows like lam^(-n); inward, Miller's
+# ratios lose about eps / (1 - lam^2).  The two errors cross near here.  The
+# seed G_{-1} loses about eps / lam to cancellation, hence the lower bound.
+_OUTWARD_LOG_GROWTH = 6.0
+
+# Miller's algorithm starts this many e-folds of lam^2 beyond the range, so
+# its starting error is below double-precision round-off (e^-37 ~ 1e-16).
+_MILLER_LOG_DECAY = 37.0
+
 
 @dataclass(frozen=True)
 class CouplingRatio:
-    """Finite coupling lam >= 0 plus quadrature settings."""
+    """Finite coupling lam >= 0 plus the accuracy requested of G_k."""
 
     lam: float
     quad_tol: float = 1e-10
@@ -68,7 +108,7 @@ class CouplingRatio:
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.quad_tol <= 0:
+        if not self.quad_tol > 0:
             raise ValueError(f"quad_tol must be > 0, got {self.quad_tol}")
 
 
@@ -95,104 +135,88 @@ class Correlators:
             )
 
 
-@dataclass(frozen=True)
-class ToeplitzElements:
-    """Table of G_k for k in [-r_max, r_max]."""
-
-    r_max: int
-    g: dict = field(hash=False)
-
-    def __getitem__(self, k):
-        return self.g[k]
-
-
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre quadrature, breadth first over many integrals
+# Toeplitz elements G_k: closed-form seeds and the three-term recurrence
 # ---------------------------------------------------------------------------
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
-
-# Bisection levels below an initial panel before the quadrature gives up.
-_QUAD_MAX_DEPTH = 40
-
-# An integral whose open panels at one level outnumber this multiple of its
-# initial panels cannot reach its tolerance (round-off floors the residual
-# of every panel); it raises instead of doubling its work up to _QUAD_MAX_DEPTH.
-_MAX_PANEL_GROWTH = 32
-
-# Pending G_k are integrated in chunks of about this many initial panels per
-# part, which bounds the size of the per-level node arrays.
-_CHUNK_PANELS = 512
-
-# Coupling values whose G_k tables are kept, least recently used evicted.
-_CACHE_SIZE = 64
-_TABLES: OrderedDict = OrderedDict()
+def _agm(a, b, c0):
+    """Arithmetic-geometric mean of a, b and sum_{n>=0} 2^(n-1) c_n^2 (DLMF 19.8.6)."""
+    total, weight = c0 * c0 / 2, 0.5
+    for _ in range(_AGM_STEPS):
+        c = (a - b) / 2
+        a, b = (a + b) / 2, math.sqrt(a * b)
+        weight *= 2
+        total += weight * c * c
+    return a, total
 
 
-def _gauss_panels(f, a, b, k):
-    """15-point Gauss-Legendre sums of f(phi, k) over the panels [a[i], b[i]]."""
-    mid = (a + b) / 2
-    half = (b - a) / 2
-    phi = mid[:, None] + half[:, None] * _GAUSS_NODES
-    return half * np.sum(_GAUSS_WEIGHTS * f(phi, k[:, None]), axis=1)
+def _complete_elliptic(k, kp):
+    """K and E of modulus k, given with its complement kp = sqrt(1 - k^2).
 
-
-def _integrate(f, k, n_panels, tol):
-    """Integrals of f(phi, k[i]) over [0, pi] for every i, by bisected Gauss panels.
-
-    Integral i starts from n_panels[i] equal panels with tolerance
-    tol / n_panels[i] each.  A panel is accepted when its two halves agree
-    with the whole to within its tolerance; otherwise both halves are
-    refined with half the tolerance, up to _QUAD_MAX_DEPTH levels.  Every level
-    evaluates the open panels of all integrals in one call, and each child
-    reuses its parent's half-panel sum as its whole.  The values are summed
-    back up each panel tree and then across the initial panels in order, so
-    integral i does not depend on which other integrals share the call.
+    Legendre's relation with K' - E' = K' sum_n 2^(n-1) c_n^2 writes E as a
+    sum of two positive terms, so E stays accurate as kp -> 0, where K
+    diverges.
     """
-    edges = {n: np.linspace(0.0, np.pi, n + 1) for n in set(n_panels.tolist())}
-    a = np.concatenate([edges[n][:-1] for n in n_panels])
-    b = np.concatenate([edges[n][1:] for n in n_panels])
-    owner = item = np.repeat(np.arange(len(k)), n_panels)
-    panel_tol = np.repeat(tol / n_panels, n_panels)
-    whole = _gauss_panels(f, a, b, k[item])
-    levels = []
-    for depth in itertools.count():
-        mid = (a + b) / 2
-        k_open = k[item]
-        halves = _gauss_panels(f, np.concatenate([a, mid]), np.concatenate([mid, b]),
-                               np.concatenate([k_open, k_open]))
-        left, right = halves[: len(a)], halves[len(a):]
-        value = left + right
-        err = np.abs(value - whole)
-        split = np.flatnonzero(~(err <= panel_tol))
-        levels.append((value, split))
-        if split.size == 0:
-            break
-        worst = split[np.argmax(err[split])]
-        if depth >= _QUAD_MAX_DEPTH:
-            raise QuadratureError(
-                f"quadrature did not converge on [{a[worst]:.6g}, {b[worst]:.6g}] "
-                f"at depth {depth}", err[worst])
-        grown = 2 * np.bincount(item[split], minlength=len(k))
-        if np.any(grown > _MAX_PANEL_GROWTH * n_panels):
-            raise QuadratureError(
-                f"quadrature panels grew past {_MAX_PANEL_GROWTH} times the initial "
-                f"count at depth {depth + 1}", err[worst])
-        a, mid, b = a[split], mid[split], b[split]
-        a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
-        whole = np.column_stack([left[split], right[split]]).ravel()
-        panel_tol = np.repeat(panel_tol[split] / 2, 2)
-        item = np.repeat(item[split], 2)
+    if k == 0:
+        return math.pi / 2, math.pi / 2
+    if kp == 0:
+        return math.inf, 1.0
+    big_k = math.pi / (2 * _agm(1.0, kp, k)[0])
+    mean, total = _agm(1.0, k, kp)
+    return big_k, mean + big_k * total
 
-    value = None
-    for level_value, split in reversed(levels):
-        if split.size:
-            level_value[split] = value[0::2] + value[1::2]
-        value = level_value
-    # sequential sum over each integral's initial panels, starting from 0.0
-    rows = np.zeros((len(k), max(n_panels) + 1))
-    rows[owner, np.concatenate([np.arange(1, n + 1) for n in n_panels])] = value
-    return np.cumsum(rows, axis=1)[np.arange(len(k)), n_panels]
+
+def _series(lo, hi, lam):
+    """G_k for k = lo .. hi, lo <= -1 and hi >= 0, at coupling 0 <= lam <= 1."""
+    ks = np.arange(lo, hi + 1)
+    if lam == 0:
+        return (ks == 0).astype(float)
+    if lam == 1:
+        return np.where(ks % 2, -2.0, 2.0) / (np.pi * (2 * ks + 1))
+    l2 = lam * lam
+    big_k, big_e = _complete_elliptic(2 * math.sqrt(lam) / (1 + lam), (1 - lam) / (1 + lam))
+    g0 = ((1 + lam) * big_e + (1 - lam) * big_k) / math.pi
+    if lam >= 0.5 and -2 * max(-lo, hi) * math.log(lam) <= _OUTWARD_LOG_GROWTH:
+        g_minus = ((1 + lam) * big_e - (1 - lam) * big_k) / (math.pi * lam)
+        up = [g_minus, g0]
+        for k in range(hi):
+            up.append(-(lam * (k - 0.5) * up[-2] + ((1 + l2) * k + l2) * up[-1])
+                      / (lam * (k + 1.5)))
+        down = [g0, g_minus]
+        for k in range(-1, lo, -1):
+            down.append(-(((1 + l2) * k + l2) * down[-1] + lam * (k + 1.5) * down[-2])
+                        / (lam * (k - 0.5)))
+        return np.array(down[::-1] + up[2:])
+    beyond = int(_MILLER_LOG_DECAY / (-2 * math.log(lam))) + 1
+    # ratios G_k / G_{k-1} for k = hi + beyond .. 1 and G_k / G_{k+1} for
+    # k = lo - beyond .. -1, each started from a zero ratio and run toward 0
+    rho, right = 0.0, []
+    for k in range(hi + beyond, 0, -1):
+        rho = -lam * (k - 0.5) / ((1 + l2) * k + l2 + lam * (k + 1.5) * rho)
+        right.append(rho)
+    sigma, left = 0.0, []
+    for k in range(lo - beyond, 0):
+        sigma = -lam * (k + 1.5) / ((1 + l2) * k + l2 + lam * (k - 0.5) * sigma)
+        left.append(sigma)
+    inward = np.cumprod(left[::-1][:-lo])[::-1]    # G_k / G_0, k = lo .. -1
+    outward = np.cumprod(right[::-1][:hi])         # G_k / G_0, k = 1 .. hi
+    return g0 * np.concatenate([inward, [1.0], outward])
+
+
+def _check_attainable(params):
+    if params.quad_tol < ERROR_FLOOR:
+        raise QuadratureError(f"quad_tol {params.quad_tol:.3e} is below the error floor "
+                              f"{ERROR_FLOOR:g} of the closed form", ERROR_FLOOR)
+
+
+def _elements(n, params):
+    """G_k for k = -n .. n, at index k + n."""
+    if n > _MAX_SEPARATION:
+        raise ValueError(f"|r| must be <= 1e4, got {n}")
+    _check_attainable(params)
+    if params.lam > 1:
+        return _series(-n - 1, n - 1, 1 / params.lam)[::-1]
+    return _series(-n, n, params.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -206,57 +230,10 @@ def dispersion(phi, lam):
     return np.sqrt((lam * np.sin(phi)) ** 2 + (1 + lam * np.cos(phi)) ** 2)
 
 
-def _panels_for(r, lam):
-    # one panel per ~half oscillation of cos(r phi); extra panels near lam = 1
-    # where the integrand steepens at phi = pi
-    base = max(2, int(abs(r)) // 2 + 2)
-    if 0.5 < lam < 2.0:
-        base = max(base, 8)
-    return base
-
-
-def _compute_elements(ks, params):
-    """G_k for the integers ks, integrated chunk by chunk; yields (k, G_k)."""
-    lam = params.lam
-
-    def cos_part(phi, k):
-        return np.cos(k * phi) * (1 + lam * np.cos(phi)) / dispersion(phi, lam)
-
-    def sin_part(phi, k):
-        return np.sin(k * phi) * np.sin(phi) / dispersion(phi, lam)
-
-    ks = np.asarray(ks)
-    panels = np.array([_panels_for(k, lam) for k in ks])
-    chunk_of = (np.cumsum(panels) - panels) // _CHUNK_PANELS
-    for chunk in np.unique(chunk_of):
-        sel = chunk_of == chunk
-        args = (ks[sel].astype(float), panels[sel], params.quad_tol)
-        g = (_integrate(cos_part, *args) - lam * _integrate(sin_part, *args)) / np.pi
-        yield from zip(ks[sel].tolist(), g.tolist())
-
-
-def _toeplitz_elements(ks, params):
-    """G_k for every k in ks as an array; the missing ones are computed together."""
-    ks = [int(k) for k in ks]
-    too_far = [k for k in ks if abs(k) > 10**4]
-    if too_far:
-        raise ValueError(f"|r| must be <= 1e4, got {too_far[0]}")
-    key = (params.lam, params.quad_tol)
-    table = _TABLES.pop(key, None)
-    if table is None:
-        table = {}
-        if len(_TABLES) >= _CACHE_SIZE:
-            _TABLES.popitem(last=False)
-    _TABLES[key] = table
-    missing = sorted(set(ks).difference(table))
-    if missing:
-        table.update(_compute_elements(missing, params))
-    return np.array([table[k] for k in ks])
-
-
 def toeplitz_element(r: int, params: CouplingRatio) -> float:
-    """Integral element G_r; G_0 is the magnetization."""
-    return float(_toeplitz_elements([r], params)[0])
+    """Toeplitz element G_r; G_0 is the magnetization."""
+    n = max(abs(int(r)), 1)
+    return float(_elements(n, params)[r + n])
 
 
 def magnetization(params: CouplingRatio) -> float:
@@ -264,66 +241,58 @@ def magnetization(params: CouplingRatio) -> float:
     return toeplitz_element(0, params)
 
 
-def toeplitz_table(r_max: int, params: CouplingRatio) -> ToeplitzElements:
-    """All G_k for |k| <= r_max."""
-    if r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
-    ks = range(-r_max, r_max + 1)
-    return ToeplitzElements(r_max=r_max,
-                            g=dict(zip(ks, _toeplitz_elements(ks, params).tolist())))
-
-
 def _elements_around(r, params):
     """G_k for k = -r .. r, at index k + r."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    return _toeplitz_elements(range(-r, r + 1), params)
+    return _elements(r, params)
+
+
+def _xx(g, r):
+    return det_real(scipy.linalg.toeplitz(g[r - 1::-1], g[r - 1:2 * r - 1]))
+
+
+def _yy(g, r):
+    return det_real(scipy.linalg.toeplitz(g[r + 1:], g[r + 1:1:-1]))
 
 
 def correlator_xx(r: int, params: CouplingRatio) -> float:
     """<X_0 X_r>: determinant of the r x r Toeplitz matrix with entry (i, j) = G_{j-i-1}."""
-    g = _elements_around(r, params)
-    return det_real(scipy.linalg.toeplitz(g[r - 1::-1], g[r - 1:2 * r - 1]))
+    return _xx(_elements_around(r, params), r)
 
 
 def correlator_yy(r: int, params: CouplingRatio) -> float:
     """<Y_0 Y_r>: determinant of the r x r Toeplitz matrix with entry (i, j) = G_{i-j+1}."""
-    g = _elements_around(r, params)
-    return det_real(scipy.linalg.toeplitz(g[r + 1:], g[r + 1:1:-1]))
+    return _yy(_elements_around(r, params), r)
+
+
+def _zz(g, r, m):
+    return float(m * m - g[2 * r] * g[0])
 
 
 def correlator_zz(r: int, params: CouplingRatio) -> float:
     """<Z_0 Z_r> = m^2 - G_r G_{-r}."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    m = magnetization(params)
-    return m * m - toeplitz_element(r, params) * toeplitz_element(-r, params)
+    return _zz(_elements_around(r, params), r, magnetization(params))
 
 
 def correlators(r: int, params: CouplingRatio) -> Correlators:
-    """Magnetization plus all three correlators at separation r."""
-    # first, so r is checked before any quadrature and all missing G_k,
-    # |k| <= r, are integrated in one batch
-    c_xx = correlator_xx(r, params)
-    return Correlators(
-        r=r,
-        m=float(magnetization(params)),
-        c_xx=float(c_xx),
-        c_yy=float(correlator_yy(r, params)),
-        c_zz=float(correlator_zz(r, params)),
-    )
+    """Magnetization plus all three correlators at separation r, from one set of G_k."""
+    g = _elements_around(r, params)
+    m = magnetization(params)
+    return Correlators(r=r, m=m, c_xx=_xx(g, r), c_yy=_yy(g, r), c_zz=_zz(g, r, m))
 
 
 def ground_energy_density(params: CouplingRatio) -> float:
     """(1/pi) * integral of the dispersion over [0, pi] (positive magnitude).
 
-    The ground-state energy per site is minus this value; the sum rule
+    In closed form (2/pi) (1 + lam) E(m), m = 4 lam / (1 + lam)^2.  The
+    ground-state energy per site is minus this value; the sum rule
     lam * c_xx(1) + m = ground_energy_density holds for every lam.
     """
+    _check_attainable(params)
     lam = params.lam
-    (integral,) = _integrate(lambda phi, k: dispersion(phi, lam), np.zeros(1),
-                             np.array([_panels_for(0, lam)]), params.quad_tol)
-    return float(integral / np.pi)
+    _, big_e = _complete_elliptic(2 * math.sqrt(lam) / (1 + lam), abs(1 - lam) / (1 + lam))
+    return (1 + lam) * (2 * big_e / math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +314,12 @@ def _chain_hamiltonian(n_sites, lam):
     return h
 
 
+def check_chain_size(n_sites: int):
+    """Raise ValueError unless exact_diag_correlators accepts n_sites."""
+    if n_sites < 4 or n_sites > 12 or n_sites % 2:
+        raise ValueError(f"n_sites must be even and within [4, 12], got {n_sites}")
+
+
 def exact_diag_correlators(n_sites: int, lam: float):
     """Ground-state correlators of the periodic chain with n_sites spins.
 
@@ -353,8 +328,7 @@ def exact_diag_correlators(n_sites: int, lam: float):
     are quasi-degenerate (gap < _DEGENERACY_GAP, ordered phase at finite size),
     expectation values are averaged over both.
     """
-    if n_sites < 4 or n_sites > 12 or n_sites % 2:
-        raise ValueError(f"n_sites must be even and within [4, 12], got {n_sites}")
+    check_chain_size(n_sites)
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     h = _chain_hamiltonian(n_sites, lam)

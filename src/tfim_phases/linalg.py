@@ -70,3 +70,18 @@ def expm_antihermitian(a, s=1.0):
                          f"> {_ANTIHERMITICITY_TOL:.1e}")
     w, v = np.linalg.eigh(1j * (a - a.conj().T) / 2)
     return (v * np.exp(-1j * w * s)) @ v.conj().T
+
+
+def unitary_power(u, n):
+    """u^n for a unitary u whose eigenphases lie in (-pi/2, pi/2).
+
+    On that arc an eigenphase w is fixed by sin(w), an eigenvalue of the
+    Hermitian (u - u^dag) / 2i, so that matrix's orthonormal eigenvectors Q
+    diagonalize u.  Raising only the unit-modulus phases,
+    Q e^{i n w} Q^dag, keeps the result unitary to round-off for every n;
+    repeated squaring lets the unitarity defect of u grow with n.
+    """
+    u = np.asarray(u, dtype=complex)
+    _, q = np.linalg.eigh((u - u.conj().T) / 2j)
+    phases = np.angle(np.einsum("ji,jk,ki->i", q.conj(), u, q))
+    return (q * np.exp(1j * n * phases)) @ q.conj().T

@@ -14,7 +14,7 @@ whose eigenvectors the loop carries to w = U(0) v:
   the phase is the argument of Tr[rho(0; theta) V(2pi)].  Because the loop
   is a conjugation by e^{K phi}, the product telescopes exactly into a power
   of one step factor; the result is the same finite-step product, with the
-  same first-order step error, in O(log steps) matrix products.
+  same first-order step error, from one eigendecomposition of the step factor.
 
 Both deviations delta_gamma and delta_gamma_u compare the two-site phase
 against twice the single-site phase, each computed with the same code path
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import RankDeficientError, VisibilityError
 from .ising import CouplingRatio, correlators
-from .linalg import expm_antihermitian, hermitian_eigen
+from .linalg import expm_antihermitian, hermitian_eigen, unitary_power
 from .states import (
     LoopSpec,
     loop_generator,
@@ -146,12 +146,14 @@ def _holonomy_matrix(a0, steps):
     covariant, A(phi) = e^{K phi} A(0) e^{-K phi}, and the ordered product
     over phi_j = j dphi, j = 0 .. steps-1, telescopes exactly to
     e^{2 pi K} (e^{-K dphi} e^{A(0) dphi})^steps.  This is the same finite-step
-    product, not its steps -> inf limit.
+    product, not its steps -> inf limit.  Since ||K|| <= 1 and
+    ||A(0)|| <= ||K||_F <= sqrt(2), the step factor's eigenphases lie within
+    (1 + sqrt(2)) dphi < pi/2 of 0 for steps >= 16, as unitary_power requires.
     """
     dim = a0.shape[0]
     dphi = 2 * np.pi / steps
     step = loop_unitary(-dphi, 0.0, dim) @ expm_antihermitian(a0, dphi)
-    return loop_unitary(2 * np.pi, 0.0, dim) @ np.linalg.matrix_power(step, steps)
+    return loop_unitary(2 * np.pi, 0.0, dim) @ unitary_power(step, steps)
 
 
 def uhlmann_holonomy(rho, loop: LoopSpec, rank_eps=RANK_EPS):

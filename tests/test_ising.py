@@ -1,5 +1,8 @@
-from collections import OrderedDict
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -17,7 +20,6 @@ from tfim_phases.ising import (
     ground_energy_density,
     magnetization,
     toeplitz_element,
-    toeplitz_table,
 )
 
 # Frozen oracle: quadrature at tol 1e-12 cross-checked against scipy.integrate.quad
@@ -45,63 +47,37 @@ def scipy_toeplitz(r, lam):
     return (i1 - lam * i2) / np.pi
 
 
-# Reference oracle: the same panel trees built depth first, one recursive call
-# and one scalar 15-node sum per panel, one integral at a time.
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# High-precision oracles.  For lam <= 1 and n = |k| (Barouch and McCoy; the
+# binomial series of the symbol, DLMF 15.2):
+#   G_{-n} = lam^n C(1/2, n) 2F1(n - 1/2, 1/2; n + 1; lam^2),
+#   G_n    = lam^n C(-1/2, n) 2F1(n + 1/2, -1/2; n + 1; lam^2),
+# and G_k(lam) = G_{-k-1}(1/lam) for lam > 1.
+def mpmath_toeplitz(k, lam, dps=20):
+    with mpmath.workdps(dps):
+        lam = mpmath.mpf(lam)
+        if lam > 1:
+            return mpmath_toeplitz(-k - 1, 1 / lam, dps)
+        n, half = abs(k), mpmath.mpf(1) / 2
+        if k <= 0:
+            return lam**n * mpmath.binomial(half, n) * mpmath.hyp2f1(
+                n - half, half, n + 1, lam**2)
+        return lam**n * mpmath.binomial(-half, n) * mpmath.hyp2f1(
+            n + half, -half, n + 1, lam**2)
 
 
-def _gauss_panel(f, a, b):
-    mid = (a + b) / 2
-    half = (b - a) / 2
-    return half * float(np.sum(_GAUSS_WEIGHTS * f(mid + half * _GAUSS_NODES)))
+def mpmath_energy(lam):
+    """(2/pi) (1 + lam) E(4 lam / (1 + lam)^2)."""
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(lam)
+        return 2 / mpmath.pi * (1 + lam) * mpmath.ellipe(4 * lam / (1 + lam) ** 2)
 
 
-def _adaptive(f, a, b, tol, depth, max_depth):
-    whole = _gauss_panel(f, a, b)
-    mid = (a + b) / 2
-    left = _gauss_panel(f, a, mid)
-    right = _gauss_panel(f, mid, b)
-    err = abs(left + right - whole)
-    if err <= tol:
-        return left + right
-    if depth >= max_depth:
-        raise QuadratureError(f"no convergence on [{a}, {b}]", err)
-    return (_adaptive(f, a, mid, tol / 2, depth + 1, max_depth)
-            + _adaptive(f, mid, b, tol / 2, depth + 1, max_depth))
-
-
-def quad_adaptive(f, initial_panels, tol=1e-10, max_depth=40):
-    edges = np.linspace(0.0, np.pi, initial_panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        total += _adaptive(f, lo, hi, tol / initial_panels, 0, max_depth)
-    return total
-
-
-def reference_toeplitz(k, lam):
-    panels = ising._panels_for(k, lam)
-    i1 = quad_adaptive(
-        lambda p: np.cos(k * p) * (1 + lam * np.cos(p)) / dispersion(p, lam), panels)
-    i2 = quad_adaptive(lambda p: np.sin(k * p) * np.sin(p) / dispersion(p, lam), panels)
-    return (i1 - lam * i2) / np.pi
-
-
-def reference_magnetization(lam):
-    return quad_adaptive(lambda p: (1 + lam * np.cos(p)) / dispersion(p, lam),
-                         ising._panels_for(0, lam)) / np.pi
-
-
-def reference_energy(lam):
-    return quad_adaptive(lambda p: dispersion(p, lam), ising._panels_for(0, lam)) / np.pi
-
-
-@pytest.fixture
-def fresh_cache(monkeypatch):
-    """Gives the test its own empty G_k cache; returns a function that empties it."""
-    def reset():
-        monkeypatch.setattr(ising, "_TABLES", OrderedDict())
-    reset()
-    return reset
+def pfeuty_xx(r):
+    """c_xx(r) at lam = 1: (2/pi)^r 2^(2r(r-1)) H(r)^4 / H(2r), H(n) = prod_{k<n} k!."""
+    with mpmath.workdps(50):
+        log_c = (r * mpmath.log(2 / mpmath.pi) + 2 * r * (r - 1) * mpmath.log(2)
+                 + 4 * mpmath.log(mpmath.barnesg(r + 1)) - mpmath.log(mpmath.barnesg(2 * r + 1)))
+        return mpmath.exp(log_c)
 
 
 class TestDispersion:
@@ -137,26 +113,28 @@ class TestMagnetization:
         assert magnetization(CouplingRatio(lam)) == pytest.approx(
             scipy_magnetization(lam), abs=1e-9)
 
-    def test_nonconvergence_raises_with_residual(self, monkeypatch, fresh_cache):
-        monkeypatch.setattr(ising, "_QUAD_MAX_DEPTH", 2)
+    def test_nonconvergence_raises_with_residual(self):
+        # a request below the error floor of the closed form cannot be met
         with pytest.raises(QuadratureError) as exc:
             magnetization(CouplingRatio(0.999999, quad_tol=1e-15))
-        assert exc.value.residual > 0
+        assert exc.value.residual == ising.ERROR_FLOOR > 0
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             CouplingRatio(-0.1)
         with pytest.raises(ValueError):
             CouplingRatio(1.0, quad_tol=0.0)
+        with pytest.raises(ValueError, match="quad_tol must be > 0"):
+            CouplingRatio(1.0, quad_tol=float("nan"))
 
 
 class TestToeplitzElements:
     @pytest.mark.parametrize("lam", [0.2, 0.7, 1.0, 1.4])
-    def test_g0_equals_magnetization(self, lam, fresh_cache):
+    def test_g0_equals_magnetization(self, lam):
         params = CouplingRatio(lam)
         m = magnetization(params)
-        fresh_cache()
-        assert toeplitz_table(5, params)[0] == m
+        assert toeplitz_element(0, params) == m
+        assert correlators(5, params).m == m
 
     def test_free_limit_vanishes(self):
         assert toeplitz_element(1, CouplingRatio(0.0)) == pytest.approx(0.0, abs=1e-12)
@@ -173,65 +151,71 @@ class TestToeplitzElements:
             scipy_toeplitz(r, 0.9), abs=1e-9)
 
     def test_table(self):
+        # the elements G_k, k = -3 .. 3, that correlators(3, .) uses
         params = CouplingRatio(0.8)
-        table = toeplitz_table(3, params)
-        assert sorted(table.g) == list(range(-3, 4))
-        assert abs(table[0] - magnetization(params)) <= 2 * params.quad_tol
+        table = ising._elements(3, params)
+        assert table.shape == (7,)
+        assert table[3] == magnetization(params)
+        assert abs(table[4] - toeplitz_element(1, params)) <= 1e-15
 
     def test_separation_cap(self):
         with pytest.raises(ValueError):
             toeplitz_element(10001, CouplingRatio(1.0))
 
 
-class TestBatchedQuadrature:
-    @pytest.mark.parametrize("lam", [0.0, 0.5, 0.98, 1.0, 1.02, 1.5, 3.0])
-    def test_matches_recursive_oracle(self, lam, fresh_cache):
+class TestClosedForm:
+    """G_k from the elliptic seeds and the three-term recurrence, against mpmath."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5, 0.98, 1.0, 1.02, 1.5, 3.0, 50.0,
+                                     1 - 1e-8, 1 + 1e-8, 1 - 1e-9, 1 + 1e-9,
+                                     1 - 1e-10, 1 + 1e-10])
+    def test_matches_mpmath(self, lam):
+        # the elements of one batch, as correlators(101, .) uses them, and
+        # each element alone
         params = CouplingRatio(lam)
-        table = toeplitz_table(101, params)
+        batch = ising._elements(101, params)
         for k in range(-101, 102):
-            assert abs(table[k] - reference_toeplitz(k, lam)) <= 1e-15, k
-        assert abs(magnetization(params) - reference_magnetization(lam)) <= 1e-15
-        assert abs(ground_energy_density(params) - reference_energy(lam)) <= 1e-15
+            exact = mpmath_toeplitz(k, lam)
+            assert abs(batch[k + 101] - exact) <= 3e-15, k
+            assert abs(toeplitz_element(k, params) - exact) <= 3e-15, k
+        assert abs(ground_energy_density(params) - mpmath_energy(lam)) <= 1e-15 * (1 + lam)
 
-    @pytest.mark.parametrize("k", [-10**4, 10**4])
-    def test_largest_separation_matches_oracle(self, k, fresh_cache):
-        assert abs(toeplitz_element(k, CouplingRatio(0.98))
-                   - reference_toeplitz(k, 0.98)) <= 1e-15
+    @pytest.mark.parametrize("k,lam", [
+        (k, lam) for lam in (1 - 1e-8, 1 + 1e-8, 1 - 1e-10, 1 + 1e-10, 0.9997, 1.001)
+        for k in (-10**4, -5000, -1000, 1000, 5000, 10**4)] + [(-10**4, 0.98), (10**4, 0.98)])
+    def test_large_separation_within_error_floor(self, k, lam):
+        assert (abs(toeplitz_element(k, CouplingRatio(lam)) - mpmath_toeplitz(k, lam))
+                <= ising.ERROR_FLOOR)
 
-    def test_value_independent_of_batch(self, fresh_cache):
-        params = CouplingRatio(0.9)
-        alone = toeplitz_element(10, params)
-        fresh_cache()
-        correlators(100, params)
-        assert toeplitz_element(10, params) == alone
+    def test_separation_cap_checked_before_any_element(self, monkeypatch):
+        def no_elements(*args):
+            raise AssertionError("G_k computed")
 
-    def test_separation_cap_checked_before_quadrature(self, fresh_cache, monkeypatch):
-        def no_quadrature(*args):
-            raise AssertionError("quadrature ran")
-
-        monkeypatch.setattr(ising, "_integrate", no_quadrature)
+        monkeypatch.setattr(ising, "_series", no_elements)
         with pytest.raises(ValueError, match="1e4"):
             correlators(10**4 + 1, CouplingRatio(0.5))
 
-    def test_unattainable_tolerance_stops_at_panel_bound(self, fresh_cache):
-        with pytest.raises(QuadratureError, match="grew past") as exc:
+    def test_request_below_error_floor_raises(self):
+        with pytest.raises(QuadratureError, match="error floor") as exc:
             correlators(1, CouplingRatio(1.0, quad_tol=1e-30))
-        assert exc.value.residual > 0
+        assert exc.value.residual == ising.ERROR_FLOOR
+        with pytest.raises(QuadratureError):
+            ground_energy_density(CouplingRatio(0.5, quad_tol=ising.ERROR_FLOOR / 2))
+        correlators(1, CouplingRatio(1.0, quad_tol=ising.ERROR_FLOOR))
 
-    def test_cache_holds_at_most_its_capacity(self, fresh_cache):
-        lams = np.linspace(0.1, 2.0, 70)
-        for lam in lams:
-            correlators(1, CouplingRatio(float(lam)))
-        assert len(ising._TABLES) == ising._CACHE_SIZE
-        assert (float(lams[-1]), 1e-10) in ising._TABLES
-
-    def test_evicted_coupling_recomputes_same_values(self, fresh_cache):
-        first = CouplingRatio(0.05)
-        before = toeplitz_table(3, first).g
-        for lam in np.linspace(0.1, 2.0, ising._CACHE_SIZE):
-            correlators(1, CouplingRatio(float(lam)))
-        assert (0.05, 1e-10) not in ising._TABLES
-        assert toeplitz_table(3, first).g == before
+    def test_no_special_function_library_loaded(self):
+        # scipy.special, scipy.integrate and mpmath would add to the import
+        # time and memory of every run
+        code = ("import sys, tfim_phases\n"
+                "tfim_phases.correlators(10, tfim_phases.CouplingRatio(0.7))\n"
+                "print([m for m in ('scipy.special', 'scipy.integrate', 'mpmath')"
+                " if m in sys.modules])\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
 
 class TestCorrelators:
@@ -267,6 +251,18 @@ class TestCorrelators:
         params = CouplingRatio(lam)
         lhs = lam * correlator_xx(1, params) + magnetization(params)
         assert lhs == pytest.approx(ground_energy_density(params), abs=1e-8)
+
+    @pytest.mark.parametrize("r", [50, 200, 1000])
+    def test_critical_xx_matches_pfeuty(self, r):
+        exact = pfeuty_xx(r)
+        assert abs(correlator_xx(r, CouplingRatio(1.0)) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("lam", [1.5, 3.0])
+    def test_ordered_xx_reaches_szego_limit(self, lam):
+        # c_xx(r) -> (1 - lam^-2)^(1/4); the rest decays like lam^(-2r), far
+        # below round-off at r = 300
+        limit = (1 - lam**-2) ** 0.25
+        assert abs(correlator_xx(300, CouplingRatio(lam)) - limit) <= 1e-13 * limit
 
     def test_all_observables_bounded(self):
         for lam in np.linspace(0.0, 3.0, 13):

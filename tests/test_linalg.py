@@ -8,6 +8,7 @@ from tfim_phases.linalg import (
     det_real,
     expm_antihermitian,
     hermitian_eigen,
+    unitary_power,
 )
 
 # test-only kernels, defined beside the connection oracles that use them
@@ -145,6 +146,28 @@ class TestExpmAntihermitian:
     def test_rejects_non_antihermitian(self):
         with pytest.raises(ValueError, match="anti-Hermitian"):
             expm_antihermitian(SIGMA_Z)
+
+
+class TestUnitaryPower:
+    def test_matches_repeated_product(self):
+        rng = np.random.default_rng(7)
+        for dim in (2, 4):
+            for n in (0, 1, 2, 5, 17, 40):
+                # eigenphases within 0.1 * ||a|| < pi/2
+                u = expm_antihermitian(random_antihermitian(rng, dim), 0.1)
+                assert np.abs(unitary_power(u, n) - np.linalg.matrix_power(u, n)).max() <= 1e-12
+
+    def test_degenerate_phases(self):
+        rng = np.random.default_rng(8)
+        w = expm_antihermitian(random_antihermitian(rng, 4))
+        u = (w * np.exp(1j * np.array([0.2, 0.2, -0.3, -0.3]))) @ w.conj().T
+        assert np.abs(unitary_power(u, 9) - np.linalg.matrix_power(u, 9)).max() <= 1e-12
+
+    def test_unitary_at_large_power(self):
+        rng = np.random.default_rng(9)
+        u = expm_antihermitian(random_antihermitian(rng, 4), 0.1)
+        v = unitary_power(u, 10**6)
+        assert np.abs(v.conj().T @ v - np.eye(4)).max() <= 1e-14
 
 
 class TestCommutator:

@@ -356,6 +356,11 @@ class TestUhlmannHolonomy:
         v = uhlmann_holonomy(model_pair(1.5), loop)
         assert np.abs(v.conj().T @ v - np.eye(4)).max() <= 1e-10
 
+    @pytest.mark.parametrize("steps", [250, 1000, 4000])
+    def test_unitarity_does_not_drift_with_steps(self, steps):
+        v = uhlmann_holonomy(model_pair(1.5), LoopSpec(theta=THETA, steps=steps))
+        assert np.abs(v.conj().T @ v - np.eye(4)).max() <= 1e-13
+
     def test_first_order_matrix_convergence_to_exact(self):
         rho = model_pair(1.5)
         v_exact = exact_holonomy(rho, THETA)

@@ -283,6 +283,30 @@ class TestCli:
         assert captured.err.startswith("error: ") and "residual" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["correlators", "--lam", "0.5"],
+        ["phase", "--lam", "0.5", "--theta", "1"],
+        ["oracle", "--lam", "0.5", "--n-sites", "4"],
+    ])
+    def test_nan_quad_tol_rejected(self, capsys, argv):
+        assert main(argv + ["--quad-tol", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: quad_tol must be > 0")
+        assert captured.out == ""
+
+    def test_oracle_bad_size_prints_nothing(self, capsys):
+        assert main(["oracle", "--lam", "1", "--n-sites", "8", "14"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "n_sites" in captured.err
+        assert captured.out == ""
+
+    def test_phase_command_next_to_critical_point(self, capsys):
+        # the quadrature that the closed form replaced failed for
+        # 1e-10 <= |lam - 1| <= 1e-8
+        assert main(["phase", "--lam", "0.99999999", "--theta", "1",
+                     "--kinds", "interferometric"]) == 0
+        assert "delta_gamma = " in capsys.readouterr().out
+
     @pytest.mark.parametrize("rank_eps", ["-1", "0", "nan"])
     def test_phase_command_rejects_nonpositive_rank_eps(self, capsys, rank_eps):
         code = main(["phase", "--lam", "0", "--theta", "1", "--kinds", "uhlmann",
