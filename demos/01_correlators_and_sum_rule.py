@@ -7,7 +7,6 @@ import numpy as np
 
 from tfim_phases import (
     CouplingRatio,
-    correlator_xx,
     correlators,
     exact_diag_correlators,
     ground_energy_density,
@@ -43,7 +42,7 @@ print("Ground-state energy sum rule: lam*c_xx(1) + m = (1/pi) int omega")
 print("=" * 64)
 for lam in (0.25, 1.0, 1.75):
     params = CouplingRatio(lam)
-    lhs = lam * correlator_xx(1, params) + magnetization(params)
+    lhs = lam * correlators(1, params).c_xx + magnetization(params)
     rhs = ground_energy_density(params)
     print(f"  lam={lam:4.2f}  lhs={lhs:.12f}  rhs={rhs:.12f}  diff={lhs - rhs:+.2e}")
 print("  This identity pins down the sign convention of the Toeplitz elements.")

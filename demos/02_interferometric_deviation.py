@@ -23,7 +23,7 @@ os.makedirs(OUT, exist_ok=True)
 
 print("Single-site phase: spectral formula vs closed form (mod pi)")
 for m, theta in [(0.6, 0.5), (0.9, 1.2), (0.4, 2.0)]:
-    spectral = interferometric_phase(single_site_state(m).matrix, theta)
+    spectral = interferometric_phase(single_site_state(m), theta)
     closed = single_site_phase_closed(m, theta)
     print(f"  m={m} theta={theta}: spectral={spectral:+.6f} closed={closed:+.6f} "
           f"(difference is a multiple of pi: {(spectral - closed) / np.pi:+.3f} pi)")

@@ -35,7 +35,7 @@ for dim, name in ((2, "one site"), (4, "pair")):
     print(f"  {name:8s}: diag = {np.round(diag, 12)}")
 print()
 print("Connection and holonomy at lam = 1.5, r = 1, theta = pi/3")
-rho = two_site_state(correlators(1, CouplingRatio(1.5))).matrix
+rho = two_site_state(correlators(1, CouplingRatio(1.5)))
 a0 = uhlmann_connection(evolve(rho, 0.0, THETA))
 print(f"  ||A(0) + A(0)^dag||_max = {np.abs(a0 + a0.conj().T).max():.2e}  (anti-Hermitian)")
 for steps in (250, 1000, 4000):

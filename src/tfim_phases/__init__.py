@@ -19,11 +19,7 @@ from .errors import (
 from .ising import (
     Correlators,
     CouplingRatio,
-    correlator_xx,
-    correlator_yy,
-    correlator_zz,
     correlators,
-    dispersion,
     exact_diag_correlators,
     ground_energy_density,
     magnetization,
@@ -44,7 +40,6 @@ from .states import (
     evolve,
     loop_generator,
     loop_unitary,
-    partial_trace,
     single_site_state,
     two_site_state,
 )

@@ -9,7 +9,7 @@ import sys
 from . import ising
 from .errors import QuadratureError, RankDeficientError, VisibilityError
 from .phases import compute_phases
-from .sweep import SweepConfig, emit_csv, emit_svg, preset, run_sweep
+from .sweep import Y_COLUMNS, SweepConfig, emit_csv, emit_svg, preset, run_sweep
 
 _KIND_CHOICES = {"interferometric": ("interferometric",),
                  "uhlmann": ("uhlmann",),
@@ -67,7 +67,8 @@ def _build_parser():
     for field, (flag, options, _) in _SWEEP_FIELDS.items():
         sw.add_argument(flag, dest=field, **options)
     sw.add_argument("--svg", help="optional SVG output path")
-    sw.add_argument("--svg-y", default="delta_gamma_unwrapped")
+    sw.add_argument("--svg-y", choices=Y_COLUMNS, default="delta_gamma_unwrapped",
+                    metavar="COLUMN", help="CSV column on the SVG y axis: %(choices)s")
     sw.add_argument("--workers", type=int, default=1)
 
     pr = sub.add_parser("preset", help="run a named figure-reproduction sweep")
@@ -170,6 +171,8 @@ def _cmd_oracle(args):
     params = ising.CouplingRatio(args.lam, args.quad_tol)
     for n in args.n_sites:
         ising.check_chain_size(n)
+    if args.r_max < 1:
+        raise ValueError(f"r_max must be >= 1, got {args.r_max}")
     r_values = list(range(1, args.r_max + 1))
     thermo = {r: ising.correlators(r, params) for r in r_values}
     # every row is computed before any output, so a failure leaves none

@@ -6,8 +6,9 @@ Toeplitz determinants of the elements
 
     G_k = (1/pi) int_0^pi [cos(k phi) + lam cos((k+1) phi)] / eps(phi) dphi,
 
-the Fourier coefficients of the unimodular symbol (1 + lam e^{i phi}) /
-|1 + lam e^{i phi}|, and the magnetization is G_0.  No integral is evaluated:
+with eps(phi) = |1 + lam e^{i phi}| the quasiparticle energy.  They are the
+Fourier coefficients of the unimodular symbol (1 + lam e^{i phi}) / eps(phi),
+and the magnetization is G_0.  No integral is evaluated:
 
 * Seeds.  With m = 4 lam / (1 + lam)^2, G_0 = ((1+lam) E(m) + (1-lam) K(m))/pi
   and G_{-1} = ((1+lam) E(m) - (1-lam) K(m))/(pi lam).  K and E come from
@@ -27,9 +28,9 @@ the Fourier coefficients of the unimodular symbol (1 + lam e^{i phi}) /
 The result is within ERROR_FLOOR of the exact G_k for every coupling and
 |k| <= 10^4 (checked against high-precision hypergeometric values in the
 test suite).  The quad_tol of a CouplingRatio is an accuracy request: one
-below ERROR_FLOOR cannot be met and raises QuadratureError.  The names
-quad_tol and QuadratureError are kept from the quadrature that the closed
-form replaced.
+below ERROR_FLOOR cannot be met, so CouplingRatio rejects it with
+QuadratureError when it is built.  The names quad_tol and QuadratureError
+are kept from the quadrature that the closed form replaced.
 
 A finite-chain exact-diagonalization oracle is included for testing; it is
 not part of the production path.
@@ -60,12 +61,9 @@ __all__ = [
     "CouplingRatio",
     "Correlators",
     "ERROR_FLOOR",
-    "dispersion",
+    "MAX_SEPARATION",
     "magnetization",
     "toeplitz_element",
-    "correlator_xx",
-    "correlator_yy",
-    "correlator_zz",
     "correlators",
     "ground_energy_density",
     "check_chain_size",
@@ -81,7 +79,7 @@ BOUND_SLACK = 1e-9
 ERROR_FLOOR = 1e-12
 
 # Largest separation |k| whose G_k is computed.
-_MAX_SEPARATION = 10**4
+MAX_SEPARATION = 10**4
 
 # Iterations of each arithmetic-geometric mean.  The smallest modulus that a
 # finite coupling gives, k ~ 1e-162, converges in 12.
@@ -100,7 +98,10 @@ _MILLER_LOG_DECAY = 37.0
 
 @dataclass(frozen=True)
 class CouplingRatio:
-    """Finite coupling lam >= 0 plus the accuracy requested of G_k."""
+    """Finite coupling lam >= 0 plus the accuracy requested of G_k.
+
+    A quad_tol below ERROR_FLOOR cannot be met and raises QuadratureError.
+    """
 
     lam: float
     quad_tol: float = 1e-10
@@ -110,6 +111,9 @@ class CouplingRatio:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not self.quad_tol > 0:
             raise ValueError(f"quad_tol must be > 0, got {self.quad_tol}")
+        if self.quad_tol < ERROR_FLOOR:
+            raise QuadratureError(f"quad_tol {self.quad_tol:.3e} is below the error floor "
+                                  f"{ERROR_FLOOR:g} of the closed form", ERROR_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -203,17 +207,10 @@ def _series(lo, hi, lam):
     return g0 * np.concatenate([inward, [1.0], outward])
 
 
-def _check_attainable(params):
-    if params.quad_tol < ERROR_FLOOR:
-        raise QuadratureError(f"quad_tol {params.quad_tol:.3e} is below the error floor "
-                              f"{ERROR_FLOOR:g} of the closed form", ERROR_FLOOR)
-
-
 def _elements(n, params):
     """G_k for k = -n .. n, at index k + n."""
-    if n > _MAX_SEPARATION:
+    if n > MAX_SEPARATION:
         raise ValueError(f"|r| must be <= 1e4, got {n}")
-    _check_attainable(params)
     if params.lam > 1:
         return _series(-n - 1, n - 1, 1 / params.lam)[::-1]
     return _series(-n, n, params.lam)
@@ -222,13 +219,6 @@ def _elements(n, params):
 # ---------------------------------------------------------------------------
 # thermodynamic-limit observables
 # ---------------------------------------------------------------------------
-
-def dispersion(phi, lam):
-    """Quasiparticle energy sqrt((lam sin phi)^2 + (1 + lam cos phi)^2)."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    return np.sqrt((lam * np.sin(phi)) ** 2 + (1 + lam * np.cos(phi)) ** 2)
-
 
 def toeplitz_element(r: int, params: CouplingRatio) -> float:
     """Toeplitz element G_r; G_0 is the magnetization."""
@@ -241,45 +231,19 @@ def magnetization(params: CouplingRatio) -> float:
     return toeplitz_element(0, params)
 
 
-def _elements_around(r, params):
-    """G_k for k = -r .. r, at index k + r."""
+def correlators(r: int, params: CouplingRatio) -> Correlators:
+    """Magnetization plus all three correlators at separation r, from one set of G_k.
+
+    c_xx and c_yy are the determinants of the r x r Toeplitz matrices with
+    entry (i, j) = G_{j-i-1} and G_{i-j+1}; c_zz = m^2 - G_r G_{-r}.
+    """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    return _elements(r, params)
-
-
-def _xx(g, r):
-    return det_real(scipy.linalg.toeplitz(g[r - 1::-1], g[r - 1:2 * r - 1]))
-
-
-def _yy(g, r):
-    return det_real(scipy.linalg.toeplitz(g[r + 1:], g[r + 1:1:-1]))
-
-
-def correlator_xx(r: int, params: CouplingRatio) -> float:
-    """<X_0 X_r>: determinant of the r x r Toeplitz matrix with entry (i, j) = G_{j-i-1}."""
-    return _xx(_elements_around(r, params), r)
-
-
-def correlator_yy(r: int, params: CouplingRatio) -> float:
-    """<Y_0 Y_r>: determinant of the r x r Toeplitz matrix with entry (i, j) = G_{i-j+1}."""
-    return _yy(_elements_around(r, params), r)
-
-
-def _zz(g, r, m):
-    return float(m * m - g[2 * r] * g[0])
-
-
-def correlator_zz(r: int, params: CouplingRatio) -> float:
-    """<Z_0 Z_r> = m^2 - G_r G_{-r}."""
-    return _zz(_elements_around(r, params), r, magnetization(params))
-
-
-def correlators(r: int, params: CouplingRatio) -> Correlators:
-    """Magnetization plus all three correlators at separation r, from one set of G_k."""
-    g = _elements_around(r, params)
+    g = _elements(r, params)
     m = magnetization(params)
-    return Correlators(r=r, m=m, c_xx=_xx(g, r), c_yy=_yy(g, r), c_zz=_zz(g, r, m))
+    c_xx = det_real(scipy.linalg.toeplitz(g[r - 1::-1], g[r - 1:2 * r - 1]))
+    c_yy = det_real(scipy.linalg.toeplitz(g[r + 1:], g[r + 1:1:-1]))
+    return Correlators(r=r, m=m, c_xx=c_xx, c_yy=c_yy, c_zz=float(m * m - g[2 * r] * g[0]))
 
 
 def ground_energy_density(params: CouplingRatio) -> float:
@@ -289,7 +253,6 @@ def ground_energy_density(params: CouplingRatio) -> float:
     ground-state energy per site is minus this value; the sum rule
     lam * c_xx(1) + m = ground_energy_density holds for every lam.
     """
-    _check_attainable(params)
     lam = params.lam
     _, big_e = _complete_elliptic(2 * math.sqrt(lam) / (1 + lam), abs(1 - lam) / (1 + lam))
     return (1 + lam) * (2 * big_e / math.pi)

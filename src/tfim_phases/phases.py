@@ -224,8 +224,8 @@ def compute_phases(lam, r, theta, kinds=("interferometric", "uhlmann"),
     if not rank_eps > 0:
         raise ValueError(f"rank_eps must be > 0, got {rank_eps}")
     c = correlators(r, CouplingRatio(lam, quad_tol))
-    pair = two_site_state(c).matrix
-    single = single_site_state(c.m).matrix
+    pair = two_site_state(c)
+    single = single_site_state(c.m)
 
     gamma_int_pair = gamma_int_single = dg = None
     gamma_u_pair = gamma_u_single = dgu = None

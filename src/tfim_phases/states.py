@@ -1,5 +1,8 @@
 """Reduced density matrices and the adiabatic local-rotation family.
 
+The states are returned as plain density matrices: (I + m Z) / 2 on one
+site and the X-shaped 4x4 matrix of the correlators on the pair.
+
 Basis convention: two-site states live in the product basis
 |00>, |01>, |10>, |11> with site 0 the left tensor factor and |0> the
 Z = +1 state.  The loop unitary is R_z(phi) R_y(theta) applied to every
@@ -19,33 +22,18 @@ from .ising import BOUND_SLACK, Correlators
 from .linalg import IDENTITY_2, SIGMA_Z
 
 __all__ = [
-    "SingleSiteState",
-    "TwoSiteState",
     "LoopSpec",
     "single_site_state",
     "two_site_state",
     "loop_generator",
     "loop_unitary",
     "evolve",
-    "partial_trace",
 ]
 
 MIN_LOOP_STEPS = 16
 
 # Smallest eigenvalue a two-site state may have before it is unphysical.
 _PSD_FLOOR = -1e-10
-
-
-@dataclass(frozen=True)
-class SingleSiteState:
-    matrix: np.ndarray
-    m: float
-
-
-@dataclass(frozen=True)
-class TwoSiteState:
-    matrix: np.ndarray
-    source: Correlators
 
 
 @dataclass(frozen=True)
@@ -62,15 +50,15 @@ class LoopSpec:
             raise ValueError(f"steps must be >= {MIN_LOOP_STEPS}, got {self.steps}")
 
 
-def single_site_state(m: float) -> SingleSiteState:
+def single_site_state(m: float) -> np.ndarray:
     """(I + m Z) / 2 with |m| <= 1 (tiny overshoot clamped)."""
     if abs(m) > 1 + BOUND_SLACK:
         raise ValueError(f"|m| = {abs(m)} exceeds 1 beyond tolerance")
     m = float(np.clip(m, -1.0, 1.0))
-    return SingleSiteState(matrix=(IDENTITY_2 + m * SIGMA_Z) / 2, m=m)
+    return (IDENTITY_2 + m * SIGMA_Z) / 2
 
 
-def two_site_state(c: Correlators) -> TwoSiteState:
+def two_site_state(c: Correlators) -> np.ndarray:
     """X-shaped two-site density matrix built from the correlator set."""
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = (1 + 2 * c.m + c.c_zz) / 4
@@ -84,7 +72,7 @@ def two_site_state(c: Correlators) -> TwoSiteState:
         raise UnphysicalStateError(
             f"correlator set gives min eigenvalue {min_eig:.3e} < {_PSD_FLOOR:g}"
         )
-    return TwoSiteState(matrix=rho, source=c)
+    return rho
 
 
 def loop_generator(dim: int) -> np.ndarray:
@@ -116,13 +104,3 @@ def evolve(rho: np.ndarray, phi: float, theta: float) -> np.ndarray:
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {rho.shape}")
     u = loop_unitary(phi, theta, rho.shape[0])
     return u @ rho @ u.conj().T
-
-
-def partial_trace(rho4: np.ndarray, keep: int) -> np.ndarray:
-    """Reduce a two-site state to one site (keep=0 left factor, keep=1 right)."""
-    r = np.asarray(rho4).reshape(2, 2, 2, 2)
-    if keep == 0:
-        return np.einsum("ijkj->ik", r)
-    if keep == 1:
-        return np.einsum("ijil->jl", r)
-    raise ValueError(f"keep must be 0 or 1, got {keep}")

@@ -7,13 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    QuadratureError,
-    RankDeficientError,
-    UnphysicalStateError,
-    VisibilityError,
-)
-from .ising import CouplingRatio
+from .errors import RankDeficientError, UnphysicalStateError, VisibilityError
+from .ising import MAX_SEPARATION, CouplingRatio
 from .phases import RANK_EPS, PhaseRecord, compute_phases
 from .states import MIN_LOOP_STEPS, LoopSpec
 
@@ -26,12 +21,13 @@ __all__ = [
     "emit_svg",
     "preset",
     "CSV_HEADER",
+    "Y_COLUMNS",
 ]
 
 KINDS = ("interferometric", "uhlmann")
 
 # CSV columns 4-11 in order; each of them can also be the y axis of an SVG.
-_Y_COLUMNS = {
+Y_COLUMNS = {
     "gamma_int_2site": lambda x: x.record.gamma_int_pair,
     "gamma_int_1site": lambda x: x.record.gamma_int_single,
     "delta_gamma": lambda x: x.record.delta_gamma,
@@ -42,7 +38,7 @@ _Y_COLUMNS = {
     "delta_gamma_u_unwrapped": lambda x: x.delta_gamma_u_unwrapped,
 }
 
-CSV_HEADER = ",".join(["lambda", "r", "theta", *_Y_COLUMNS, "steps", "quad_tol", "status"])
+CSV_HEADER = ",".join(["lambda", "r", "theta", *Y_COLUMNS, "steps", "quad_tol", "status"])
 
 
 @dataclass(frozen=True)
@@ -68,8 +64,8 @@ class SweepConfig:
             raise ValueError("lambda_max must be >= lambda_min")
         if self.lambda_steps < 1:
             raise ValueError(f"lambda_steps must be >= 1, got {self.lambda_steps}")
-        if not self.r_list or any(r < 1 for r in self.r_list):
-            raise ValueError("r_list must be non-empty with positive entries")
+        if not self.r_list or any(not 1 <= r <= MAX_SEPARATION for r in self.r_list):
+            raise ValueError(f"r_list must be non-empty with entries in [1, {MAX_SEPARATION}]")
         if not self.theta_list:
             raise ValueError("theta_list must be non-empty")
         bad_theta = [t for t in self.theta_list if not 0 <= t <= np.pi]
@@ -79,8 +75,8 @@ class SweepConfig:
             raise ValueError(f"kinds must be a non-empty subset of {KINDS}")
         if self.loop_steps < MIN_LOOP_STEPS:
             raise ValueError(f"loop_steps must be >= {MIN_LOOP_STEPS}, got {self.loop_steps}")
-        if not self.quad_tol > 0:
-            raise ValueError(f"quad_tol must be > 0, got {self.quad_tol}")
+        # quad_tol is checked as each point's CouplingRatio will check it
+        CouplingRatio(self.lambda_min, self.quad_tol)
         if not self.rank_eps > 0:
             raise ValueError(f"rank_eps must be > 0, got {self.rank_eps}")
 
@@ -113,8 +109,6 @@ def _evaluate_point(args):
         return PhaseRecord(), "rank_deficient"
     except VisibilityError:
         return PhaseRecord(), "vanishing_visibility"
-    except QuadratureError:
-        return PhaseRecord(), "quadrature_failure"
     except UnphysicalStateError:
         return PhaseRecord(), "unphysical_state"
     except (ValueError, np.linalg.LinAlgError, ArithmeticError):
@@ -182,7 +176,7 @@ def _fmt(x):
 
 def _row_fields(rec: SweepRecord, quad_tol):
     return [_fmt(rec.lam), str(rec.r), _fmt(rec.theta),
-            *(_fmt(get(rec)) for get in _Y_COLUMNS.values()),
+            *(_fmt(get(rec)) for get in Y_COLUMNS.values()),
             str(rec.record.steps_used), _fmt(quad_tol), rec.status]
 
 
@@ -238,9 +232,9 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 
 def emit_svg(records, path, y_column="delta_gamma_unwrapped"):
     """Render one polyline per (r, theta) family as a standalone SVG."""
-    if y_column not in _Y_COLUMNS:
-        raise ValueError(f"unknown y_column {y_column!r}; choose from {sorted(_Y_COLUMNS)}")
-    getter = _Y_COLUMNS[y_column]
+    if y_column not in Y_COLUMNS:
+        raise ValueError(f"unknown y_column {y_column!r}; choose from {sorted(Y_COLUMNS)}")
+    getter = Y_COLUMNS[y_column]
 
     families = {}
     for rec in records:

@@ -12,7 +12,6 @@ import scipy.linalg
 
 from tfim_phases.ising import (
     CouplingRatio,
-    correlator_xx,
     correlators,
     exact_diag_correlators,
     ground_energy_density,
@@ -63,7 +62,7 @@ def test_criterion_2_energy_sum_rule():
     t0 = time.perf_counter()
     for lam in (0.25, 0.5, 1.0, 1.5, 2.0):
         params = CouplingRatio(lam)
-        lhs = lam * correlator_xx(1, params) + magnetization(params)
+        lhs = lam * correlators(1, params).c_xx + magnetization(params)
         assert abs(lhs - ground_energy_density(params)) <= 1e-8, f"sum rule fails at {lam}"
     report("2 ground-energy sum rule", time.perf_counter() - t0, 5.0)
 
@@ -88,7 +87,7 @@ def test_criterion_4_interferometric_invariants():
     rng = np.random.default_rng(101)
 
     # gauge invariance under eigenvector rephasing
-    rho = two_site_state(correlators(1, CouplingRatio(1.3))).matrix
+    rho = two_site_state(correlators(1, CouplingRatio(1.3)))
     eig = hermitian_eigen(rho)
     reference = interferometric_phase_from_eigen(eig.values, eig.vectors, THETA)
     for _ in range(20):
@@ -100,7 +99,7 @@ def test_criterion_4_interferometric_invariants():
     for _ in range(100):
         m = rng.uniform(0.05, 0.99)
         theta = rng.uniform(0.05, np.pi - 0.05)
-        single = single_site_state(m).matrix
+        single = single_site_state(m)
         g1 = interferometric_phase(single, theta)
         g2 = interferometric_phase(np.kron(single, single), theta)
         assert abs(wrap_angle(g2 - 2 * g1)) <= 1e-9
@@ -108,7 +107,7 @@ def test_criterion_4_interferometric_invariants():
     # closed form matched modulo pi on a 20x20 grid
     for m in np.linspace(-0.95, 0.95, 20):
         for theta in np.linspace(0.01, np.pi - 0.01, 20):
-            spectral = interferometric_phase(single_site_state(float(m)).matrix, float(theta))
+            spectral = interferometric_phase(single_site_state(float(m)), float(theta))
             closed = single_site_phase_closed(float(m), float(theta))
             diff = (spectral - closed) % np.pi
             assert min(diff, np.pi - diff) <= 1e-10
@@ -118,14 +117,14 @@ def test_criterion_4_interferometric_invariants():
 def test_criterion_5_uhlmann_invariants():
     t0 = time.perf_counter()
     rng = np.random.default_rng(103)
-    pair = two_site_state(correlators(1, CouplingRatio(1.5))).matrix
+    pair = two_site_state(correlators(1, CouplingRatio(1.5)))
 
     # connection anti-Hermiticity
     for _ in range(20):
         lam = rng.uniform(0.3, 2.0)
         theta = rng.uniform(0.1, np.pi - 0.1)
         phi = rng.uniform(0, 2 * np.pi)
-        rho = two_site_state(correlators(1, CouplingRatio(lam))).matrix
+        rho = two_site_state(correlators(1, CouplingRatio(lam)))
         a = uhlmann_connection(evolve(rho, phi, theta))
         assert np.abs(a + a.conj().T).max() <= 1e-12
 
@@ -150,7 +149,7 @@ def test_criterion_5_uhlmann_invariants():
     for _ in range(5):
         m = rng.uniform(0.2, 0.9)
         theta = rng.uniform(0.2, np.pi - 0.2)
-        single = single_site_state(m).matrix
+        single = single_site_state(m)
         loop = LoopSpec(theta=theta, steps=500)
         r1 = uhlmann_phase(single, loop)
         r2 = uhlmann_phase(np.kron(single, single), loop)
@@ -159,7 +158,7 @@ def test_criterion_5_uhlmann_invariants():
 
     # pure-state limit meets the interferometric phase
     m = 1 - 1e-4
-    rho = single_site_state(m).matrix
+    rho = single_site_state(m)
     for theta in np.linspace(0.2, np.pi - 0.2, 7):
         res = uhlmann_phase(rho, LoopSpec(theta=float(theta), steps=2000), rank_eps=1e-6)
         gi = interferometric_phase(rho, float(theta))

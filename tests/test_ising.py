@@ -12,16 +12,19 @@ from tfim_phases import ising
 from tfim_phases.errors import QuadratureError
 from tfim_phases.ising import (
     CouplingRatio,
-    correlator_xx,
-    correlator_yy,
-    correlator_zz,
     correlators,
-    dispersion,
     exact_diag_correlators,
     ground_energy_density,
     magnetization,
     toeplitz_element,
 )
+
+def dispersion(phi, lam):
+    """Quasiparticle energy sqrt((lam sin phi)^2 + (1 + lam cos phi)^2)."""
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    return np.sqrt((lam * np.sin(phi)) ** 2 + (1 + lam * np.cos(phi)) ** 2)
+
 
 # Frozen oracle: quadrature at tol 1e-12 cross-checked against scipy.integrate.quad
 # and the exact-diagonalization trend over N = 8, 10, 12.
@@ -292,49 +295,49 @@ class TestClosedForm:
 
 class TestCorrelators:
     def test_xx_free_limit(self):
-        assert correlator_xx(1, CouplingRatio(0.0)) == pytest.approx(0.0, abs=1e-12)
-        assert correlator_xx(2, CouplingRatio(0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert correlators(1, CouplingRatio(0.0)).c_xx == pytest.approx(0.0, abs=1e-12)
+        assert correlators(2, CouplingRatio(0.0)).c_xx == pytest.approx(0.0, abs=1e-12)
 
     def test_xx_critical_nearest_neighbor(self):
         # forced by the energy sum rule: 1 * c_xx(1) + 2/pi = 4/pi
-        assert correlator_xx(1, CouplingRatio(1.0)) == pytest.approx(2 / np.pi, abs=1e-9)
+        assert correlators(1, CouplingRatio(1.0)).c_xx == pytest.approx(2 / np.pi, abs=1e-9)
 
     def test_yy_free_limit(self):
-        assert correlator_yy(1, CouplingRatio(0.0)) == pytest.approx(0.0, abs=1e-12)
-        assert correlator_yy(2, CouplingRatio(0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert correlators(1, CouplingRatio(0.0)).c_yy == pytest.approx(0.0, abs=1e-12)
+        assert correlators(2, CouplingRatio(0.0)).c_yy == pytest.approx(0.0, abs=1e-12)
 
     def test_yy_critical_nearest_neighbor(self):
-        assert correlator_yy(1, CouplingRatio(1.0)) == pytest.approx(-2 / (3 * np.pi), abs=1e-9)
+        assert correlators(1, CouplingRatio(1.0)).c_yy == pytest.approx(-2 / (3 * np.pi), abs=1e-9)
 
     def test_zz_free_limit(self):
-        assert correlator_zz(1, CouplingRatio(0.0)) == pytest.approx(1.0, abs=1e-12)
+        assert correlators(1, CouplingRatio(0.0)).c_zz == pytest.approx(1.0, abs=1e-12)
 
     def test_zz_critical_nearest_neighbor(self):
-        assert correlator_zz(1, CouplingRatio(1.0)) == pytest.approx(
+        assert correlators(1, CouplingRatio(1.0)).c_zz == pytest.approx(
             16 / (3 * np.pi**2), abs=1e-9)
 
     def test_zz_long_distance_tail(self):
         params = CouplingRatio(0.5)
         m = magnetization(params)
-        assert abs(correlator_zz(50, params) - m * m) <= 1e-6
+        assert abs(correlators(50, params).c_zz - m * m) <= 1e-6
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 1.5, 2.0])
     def test_energy_sum_rule(self, lam):
         params = CouplingRatio(lam)
-        lhs = lam * correlator_xx(1, params) + magnetization(params)
+        lhs = lam * correlators(1, params).c_xx + magnetization(params)
         assert lhs == pytest.approx(ground_energy_density(params), abs=1e-8)
 
     @pytest.mark.parametrize("r", [50, 200, 1000])
     def test_critical_xx_matches_pfeuty(self, r):
         exact = pfeuty_xx(r)
-        assert abs(correlator_xx(r, CouplingRatio(1.0)) - exact) <= 1e-13 * exact
+        assert abs(correlators(r, CouplingRatio(1.0)).c_xx - exact) <= 1e-13 * exact
 
     @pytest.mark.parametrize("lam", [1.5, 3.0])
     def test_ordered_xx_reaches_szego_limit(self, lam):
         # c_xx(r) -> (1 - lam^-2)^(1/4); the rest decays like lam^(-2r), far
         # below round-off at r = 300
         limit = (1 - lam**-2) ** 0.25
-        assert abs(correlator_xx(300, CouplingRatio(lam)) - limit) <= 1e-13 * limit
+        assert abs(correlators(300, CouplingRatio(lam)).c_xx - limit) <= 1e-13 * limit
 
     def test_all_observables_bounded(self):
         for lam in np.linspace(0.0, 3.0, 13):
@@ -344,7 +347,7 @@ class TestCorrelators:
 
     def test_invalid_separation(self):
         with pytest.raises(ValueError):
-            correlator_xx(0, CouplingRatio(1.0))
+            correlators(0, CouplingRatio(1.0))
 
 
 class TestGroundEnergyDensity:
@@ -382,8 +385,8 @@ class TestExactDiagOracle:
         params = CouplingRatio(1.5)
         ed = exact_diag_correlators(10, 1.5)
         for r in (1, 2, 3):
-            assert abs(ed[r].c_xx - correlator_xx(r, params)) < 2e-2
-            assert abs(ed[r].c_yy - correlator_yy(r, params)) < 2e-2
+            assert abs(ed[r].c_xx - correlators(r, params).c_xx) < 2e-2
+            assert abs(ed[r].c_yy - correlators(r, params).c_yy) < 2e-2
 
     def test_size_validation(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from tfim_phases.linalg import (
-    SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     det_real,
     expm_antihermitian,
@@ -11,8 +9,9 @@ from tfim_phases.linalg import (
     unitary_power,
 )
 
-# test-only kernels, defined beside the connection oracles that use them
+# test-only kernels, defined beside the oracles that use them
 from test_phases import commutator, sqrt_psd
+from test_states import SIGMA_X, SIGMA_Y
 
 
 def random_hermitian(rng, dim):

@@ -154,7 +154,7 @@ def step_by_step_holonomy(rho, theta, steps):
 
 
 def model_pair(lam, r=1):
-    return two_site_state(correlators(r, CouplingRatio(lam))).matrix
+    return two_site_state(correlators(r, CouplingRatio(lam)))
 
 
 class TestLoopGenerator:
@@ -188,24 +188,24 @@ class TestInterferometricPhase:
         # for this loop orientation the Bloch vector circulates clockwise,
         # so the pure-state phase is +Omega/2 (mod 2pi)
         for theta in (0.3, np.pi / 4, 1.2, 2.4):
-            got = interferometric_phase(single_site_state(1.0).matrix, theta)
+            got = interferometric_phase(single_site_state(1.0), theta)
             assert abs(wrap_angle(got - solid_angle(theta) / 2)) <= 1e-12
 
     def test_zero_theta(self):
-        assert interferometric_phase(single_site_state(0.7).matrix, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert interferometric_phase(single_site_state(0.7), 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_product_pair_doubles_single(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
             m = rng.uniform(0.05, 0.99)
             theta = rng.uniform(0.05, np.pi - 0.05)
-            single = single_site_state(m).matrix
+            single = single_site_state(m)
             g1 = interferometric_phase(single, theta)
             g2 = interferometric_phase(np.kron(single, single), theta)
             assert abs(wrap_angle(g2 - 2 * g1)) <= 1e-9
 
     def test_closed_vs_quadrature_connection(self):
-        for rho in (single_site_state(0.6).matrix, model_pair(1.2)):
+        for rho in (single_site_state(0.6), model_pair(1.2)):
             for theta in (0.4, THETA, 2.0):
                 closed = interferometric_phase(rho, theta)
                 quad = quadrature_interferometric_phase(rho, theta)
@@ -228,7 +228,7 @@ class TestInterferometricPhase:
         from tfim_phases.ising import Correlators
 
         c = Correlators(r=1, m=0.5, c_xx=0.2, c_yy=-0.2, c_zz=0.3)
-        rho = two_site_state(c).matrix
+        rho = two_site_state(c)
         eig = hermitian_eigen(rho)
         p, v = eig.values, eig.vectors
         block = [i for i in range(4) if abs(p[i] - 0.175) < 1e-12]
@@ -247,7 +247,7 @@ class TestInterferometricPhase:
     def test_vanishing_visibility(self):
         # m = 0 at theta = pi/3: the weighted sum is exactly zero
         with pytest.raises(VisibilityError) as exc:
-            interferometric_phase(single_site_state(0.0).matrix, np.pi / 3)
+            interferometric_phase(single_site_state(0.0), np.pi / 3)
         assert exc.value.threshold == _VISIBILITY_EPS
         assert str(exc.value).endswith(f"< {_VISIBILITY_EPS:g}")
         assert str(VisibilityError(5e-10, 1e-9)).endswith("< 1e-09")
@@ -261,7 +261,7 @@ class TestSingleSitePhaseClosed:
     def test_matches_spectral_modulo_pi(self):
         for m in np.linspace(-0.95, 0.95, 20):
             for theta in np.linspace(0.01, np.pi - 0.01, 20):
-                spectral = interferometric_phase(single_site_state(float(m)).matrix, float(theta))
+                spectral = interferometric_phase(single_site_state(float(m)), float(theta))
                 closed = single_site_phase_closed(float(m), float(theta))
                 diff = (spectral - closed) % np.pi
                 assert min(diff, np.pi - diff) <= 1e-10
@@ -304,7 +304,7 @@ class TestUhlmannConnection:
         assert np.abs(a).max() <= 1e-14
 
     def test_zero_theta_gives_zero(self):
-        rho = single_site_state(0.6).matrix
+        rho = single_site_state(0.6)
         for phi in (0.0, 1.3, 4.0):
             a = uhlmann_connection(evolve(rho, phi, 0.0))
             assert np.abs(a).max() <= 1e-14
@@ -327,14 +327,14 @@ class TestUhlmannConnection:
             theta = rng.uniform(0.0, np.pi)
             phi = rng.uniform(0, 2 * np.pi)
             c = correlators(int(rng.integers(1, 4)), CouplingRatio(lam))
-            for rho in (two_site_state(c).matrix, single_site_state(c.m).matrix):
+            for rho in (two_site_state(c), single_site_state(c.m)):
                 rho_phi = evolve(rho, phi, theta)
                 oracle = commutator_connection(rho_phi)
                 assert np.abs(uhlmann_connection(rho_phi) - oracle).max() <= 1e-12
 
     def test_rank_deficiency_rejected(self):
         with pytest.raises(RankDeficientError):
-            uhlmann_connection(single_site_state(1.0).matrix)
+            uhlmann_connection(single_site_state(1.0))
 
     def test_analytic_derivative_matches_finite_difference(self):
         rho = model_pair(1.2)
@@ -348,7 +348,7 @@ class TestUhlmannConnection:
 class TestUhlmannHolonomy:
     def test_trivial_loop(self):
         loop = LoopSpec(theta=0.0, steps=64)
-        v = uhlmann_holonomy(single_site_state(0.5).matrix, loop)
+        v = uhlmann_holonomy(single_site_state(0.5), loop)
         assert np.abs(v - np.eye(2)).max() <= 1e-12
 
     def test_unitary(self):
@@ -383,13 +383,13 @@ class TestUhlmannHolonomy:
 
     def test_rank_error_propagates(self):
         with pytest.raises(RankDeficientError):
-            uhlmann_holonomy(single_site_state(1.0).matrix, LoopSpec(theta=THETA))
+            uhlmann_holonomy(single_site_state(1.0), LoopSpec(theta=THETA))
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 1.5])
     @pytest.mark.parametrize("state", ["single", "pair"])
     def test_matches_step_by_step_product(self, lam, state):
         c = correlators(1, CouplingRatio(lam))
-        rho = single_site_state(c.m).matrix if state == "single" else two_site_state(c).matrix
+        rho = single_site_state(c.m) if state == "single" else two_site_state(c)
         for steps in (16, 17, 250, 2001):
             for theta in (0.0, np.pi / 12, np.pi / 3, np.pi):
                 v = uhlmann_holonomy(rho, LoopSpec(theta=theta, steps=steps))
@@ -399,14 +399,14 @@ class TestUhlmannHolonomy:
 
 class TestUhlmannPhase:
     def test_zero_theta(self):
-        res = uhlmann_phase(single_site_state(0.6).matrix, LoopSpec(theta=0.0, steps=64))
+        res = uhlmann_phase(single_site_state(0.6), LoopSpec(theta=0.0, steps=64))
         assert res.phase == pytest.approx(0.0, abs=1e-12)
 
     def test_single_site_closed_form_oracle(self):
         loop = LoopSpec(theta=0.0, steps=2000)
         for m in (0.3, 0.6, 0.9):
             for theta in (0.5, THETA, 2.2):
-                res = uhlmann_phase(single_site_state(m).matrix,
+                res = uhlmann_phase(single_site_state(m),
                                     LoopSpec(theta=theta, steps=2000))
                 expected = uhlmann_single_site_closed(m, theta)
                 assert abs(wrap_angle(res.phase - expected)) <= 1e-6
@@ -421,7 +421,7 @@ class TestUhlmannPhase:
 
     def test_pure_limit_meets_interferometric(self):
         m = 1 - 1e-4
-        rho = single_site_state(m).matrix
+        rho = single_site_state(m)
         for theta in (0.4, THETA, 1.9):
             res = uhlmann_phase(rho, LoopSpec(theta=theta, steps=2000), rank_eps=1e-6)
             gi = interferometric_phase(rho, theta)
@@ -432,7 +432,7 @@ class TestUhlmannPhase:
         for _ in range(5):
             m = rng.uniform(0.2, 0.9)
             theta = rng.uniform(0.2, np.pi - 0.2)
-            single = single_site_state(m).matrix
+            single = single_site_state(m)
             loop = LoopSpec(theta=theta, steps=500)
             r1 = uhlmann_phase(single, loop)
             r2 = uhlmann_phase(np.kron(single, single), loop)

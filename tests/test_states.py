@@ -4,33 +4,44 @@ import scipy.linalg
 
 from tfim_phases.errors import UnphysicalStateError
 from tfim_phases.ising import Correlators, CouplingRatio, correlators
-from tfim_phases.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from tfim_phases.linalg import SIGMA_Z
 from tfim_phases.states import (
     LoopSpec,
     evolve,
     loop_generator,
     loop_unitary,
-    partial_trace,
     single_site_state,
     two_site_state,
 )
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+
+
+def partial_trace(rho4: np.ndarray, keep: int) -> np.ndarray:
+    """Reduce a two-site state to one site (keep=0 left factor, keep=1 right)."""
+    r = np.asarray(rho4).reshape(2, 2, 2, 2)
+    if keep == 0:
+        return np.einsum("ijkj->ik", r)
+    if keep == 1:
+        return np.einsum("ijil->jl", r)
+    raise ValueError(f"keep must be 0 or 1, got {keep}")
 
 
 class TestSingleSiteState:
     def test_pure_up(self):
-        assert np.allclose(single_site_state(1.0).matrix, np.diag([1.0, 0.0]))
+        assert np.allclose(single_site_state(1.0), np.diag([1.0, 0.0]))
 
     def test_maximally_mixed(self):
-        assert np.allclose(single_site_state(0.0).matrix, np.eye(2) / 2)
+        assert np.allclose(single_site_state(0.0), np.eye(2) / 2)
 
     def test_eigenvalues(self):
-        w = np.linalg.eigvalsh(single_site_state(0.5).matrix)
+        w = np.linalg.eigvalsh(single_site_state(0.5))
         assert np.allclose(sorted(w), [0.25, 0.75])
 
     def test_overshoot_clamped_and_rejected(self):
-        assert np.linalg.eigvalsh(single_site_state(1.0 + 5e-10).matrix).min() >= 0
+        assert np.linalg.eigvalsh(single_site_state(1.0 + 5e-10)).min() >= 0
         with pytest.raises(ValueError):
             single_site_state(1.01)
 
@@ -38,18 +49,18 @@ class TestSingleSiteState:
 class TestTwoSiteState:
     def test_uncorrelated_is_maximally_mixed(self):
         c = Correlators(r=1, m=0.0, c_xx=0.0, c_yy=0.0, c_zz=0.0)
-        assert np.allclose(two_site_state(c).matrix, np.eye(4) / 4)
+        assert np.allclose(two_site_state(c), np.eye(4) / 4)
 
     def test_free_ground_state_is_pure(self):
         c = Correlators(r=1, m=1.0, c_xx=0.0, c_yy=0.0, c_zz=1.0)
-        rho = two_site_state(c).matrix
+        rho = two_site_state(c)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert np.allclose(rho, expected)
 
     def test_critical_point_entries(self):
         c = correlators(1, CouplingRatio(1.0))
-        rho = two_site_state(c).matrix
+        rho = two_site_state(c)
         assert rho[0, 0] == pytest.approx((1 + 2 * c.m + c.c_zz) / 4, abs=1e-14)
         assert rho[1, 1] == pytest.approx((1 - c.c_zz) / 4, abs=1e-14)
         assert rho[3, 3] == pytest.approx((1 - 2 * c.m + c.c_zz) / 4, abs=1e-14)
@@ -59,7 +70,7 @@ class TestTwoSiteState:
 
     def test_x_shape(self):
         c = correlators(2, CouplingRatio(0.7))
-        rho = two_site_state(c).matrix
+        rho = two_site_state(c)
         mask = np.zeros((4, 4), dtype=bool)
         for i, j in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)]:
             mask[i, j] = True
@@ -72,8 +83,8 @@ class TestTwoSiteState:
 
     def test_partial_trace_reduces_to_single_site(self):
         c = correlators(1, CouplingRatio(1.3))
-        rho = two_site_state(c).matrix
-        single = single_site_state(c.m).matrix
+        rho = two_site_state(c)
+        single = single_site_state(c.m)
         assert np.abs(partial_trace(rho, 0) - single).max() <= 1e-12
         assert np.abs(partial_trace(rho, 1) - single).max() <= 1e-12
 
@@ -146,14 +157,14 @@ class TestEvolve:
 
     def test_identity_point(self):
         c = correlators(1, CouplingRatio(0.9))
-        rho = two_site_state(c).matrix
+        rho = two_site_state(c)
         assert np.allclose(evolve(rho, 0.0, 0.0), rho)
 
     def test_spectrum_invariance(self):
         rng = np.random.default_rng(23)
         c = correlators(1, CouplingRatio(1.1))
-        pair = two_site_state(c).matrix
-        single = single_site_state(c.m).matrix
+        pair = two_site_state(c)
+        single = single_site_state(c.m)
         for _ in range(1000):
             phi, theta = rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi)
             for rho in (pair, single):
@@ -165,7 +176,7 @@ class TestEvolve:
         # local rotations leave co-rotated two-site correlations invariant
         rng = np.random.default_rng(29)
         c = correlators(1, CouplingRatio(1.2))
-        rho = two_site_state(c).matrix
+        rho = two_site_state(c)
         values = {"x": c.c_xx, "y": c.c_yy, "z": c.c_zz}
         for _ in range(20):
             phi, theta = rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi)

@@ -300,6 +300,12 @@ class TestCli:
         assert captured.err.startswith("error: ") and "n_sites" in captured.err
         assert captured.out == ""
 
+    def test_oracle_bad_r_max_prints_nothing(self, capsys):
+        assert main(["oracle", "--lam", "1", "--n-sites", "8", "--r-max", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "r_max" in captured.err
+        assert captured.out == ""
+
     def test_phase_command_next_to_critical_point(self, capsys):
         # the quadrature that the closed form replaced failed for
         # 1e-10 <= |lam - 1| <= 1e-8
@@ -337,13 +343,23 @@ class TestCli:
         ["--kinds", "interferometric", "--quad-tol", "0"],
         ["--kinds", "uhlmann", "--rank-eps=-1e-8"],
         ["--kinds", "interferometric", "--lam-min", "0", "--lam-max", "nan"],
+        ["--kinds", "interferometric", "--quad-tol", "1e-13"],
+        ["--kinds", "interferometric", "--r", "10001"],
+        ["--kinds", "interferometric", "--svg-y", "bogus"],
     ])
     def test_sweep_rejects_bad_values_before_writing(self, tmp_path, capsys, flags):
         out_csv = tmp_path / "x.csv"
-        code = main(["sweep", "--lam-min", "0.5", "--lam-max", "0.5",
-                     "--lam-steps", "1", "--out", str(out_csv)] + flags)
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        argv = ["sweep", "--lam-min", "0.5", "--lam-max", "0.5",
+                "--lam-steps", "1", "--out", str(out_csv)] + flags
+        if "--svg-y" in flags:
+            # a value outside the argparse choices is a usage error (exit 2)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        else:
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: ")
         assert not out_csv.exists()
 
     def test_sweep_command_with_config_file(self, tmp_path, capsys):
