@@ -8,12 +8,10 @@ import sys
 
 from . import ising
 from .errors import QuadratureError, RankDeficientError, VisibilityError
-from .phases import compute_phases
+from .phases import KINDS, compute_phases
 from .sweep import Y_COLUMNS, SweepConfig, emit_csv, emit_svg, preset, run_sweep
 
-_KIND_CHOICES = {"interferometric": ("interferometric",),
-                 "uhlmann": ("uhlmann",),
-                 "both": ("interferometric", "uhlmann")}
+_KIND_CHOICES = {**{kind: (kind,) for kind in KINDS}, "both": KINDS}
 
 
 def _items(parse):
@@ -171,8 +169,9 @@ def _cmd_oracle(args):
     params = ising.CouplingRatio(args.lam, args.quad_tol)
     for n in args.n_sites:
         ising.check_chain_size(n)
-    if args.r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {args.r_max}")
+    r_cap = min(args.n_sites) // 2  # the largest separation every chain has
+    if not 1 <= args.r_max <= r_cap:
+        raise ValueError(f"r_max must be within [1, min(n_sites) // 2 = {r_cap}], got {args.r_max}")
     r_values = list(range(1, args.r_max + 1))
     thermo = {r: ising.correlators(r, params) for r in r_values}
     # every row is computed before any output, so a failure leaves none
@@ -181,8 +180,6 @@ def _cmd_oracle(args):
     print("n_sites,r,m_ed,m_inf,c_xx_ed,c_xx_inf,c_yy_ed,c_yy_inf,c_zz_ed,c_zz_inf")
     for n, ed in table.items():
         for r in r_values:
-            if r not in ed:
-                continue
             t, e = thermo[r], ed[r]
             print(f"{n},{r},{e.m:.8f},{t.m:.8f},{e.c_xx:.8f},{t.c_xx:.8f},"
                   f"{e.c_yy:.8f},{t.c_yy:.8f},{e.c_zz:.8f},{t.c_zz:.8f}")

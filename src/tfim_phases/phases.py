@@ -46,6 +46,7 @@ from .states import (
 )
 
 __all__ = [
+    "KINDS",
     "PhaseRecord",
     "wrap_angle",
     "interferometric_phase",
@@ -57,6 +58,9 @@ __all__ = [
     "UhlmannResult",
     "compute_phases",
 ]
+
+# The phase kinds compute_phases evaluates; the sweep and the CLI take these.
+KINDS = ("interferometric", "uhlmann")
 
 _VISIBILITY_EPS = 1e-12
 
@@ -210,32 +214,30 @@ class PhaseRecord:
     convergence_estimate: float | None = None
 
 
-def compute_phases(lam, r, theta, kinds=("interferometric", "uhlmann"),
-                   loop_steps=LoopSpec.steps, quad_tol=CouplingRatio.quad_tol,
-                   rank_eps=RANK_EPS) -> PhaseRecord:
+def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
+                   quad_tol=CouplingRatio.quad_tol, rank_eps=RANK_EPS) -> PhaseRecord:
     """Evaluate the requested phase kinds at one parameter point.
 
     Raises the underlying error (quadrature, rank, visibility, unphysical
     state) instead of masking it; sweep drivers map errors to status rows.
-    theta, loop_steps and rank_eps are checked before any work, for every
-    kind.  Each requested kind decomposes each state once.
+    kinds, theta, loop_steps and rank_eps are checked before any work, for
+    every kind.  Each requested kind decomposes each state once.
     """
+    if any(k not in KINDS for k in kinds):
+        raise ValueError(f"kinds must be drawn from {KINDS}, got {tuple(kinds)}")
     loop = LoopSpec(theta=theta, steps=loop_steps)
     if not rank_eps > 0:
         raise ValueError(f"rank_eps must be > 0, got {rank_eps}")
     c = correlators(r, CouplingRatio(lam, quad_tol))
     pair = two_site_state(c)
     single = single_site_state(c.m)
-
-    gamma_int_pair = gamma_int_single = dg = None
-    gamma_u_pair = gamma_u_single = dgu = None
-    steps_used = 0
-    convergence = None
+    fields = {}
 
     if "interferometric" in kinds:
-        gamma_int_pair = interferometric_phase(pair, theta)
-        gamma_int_single = interferometric_phase(single, theta)
-        dg = float(wrap_angle(gamma_int_pair - 2 * gamma_int_single))
+        g_pair = interferometric_phase(pair, theta)
+        g_single = interferometric_phase(single, theta)
+        fields.update(gamma_int_pair=g_pair, gamma_int_single=g_single,
+                      delta_gamma=float(wrap_angle(g_pair - 2 * g_single)))
 
     if "uhlmann" in kinds:
         try:
@@ -243,19 +245,10 @@ def compute_phases(lam, r, theta, kinds=("interferometric", "uhlmann"),
             res_single = uhlmann_phase(single, loop, rank_eps)
         except RankDeficientError as exc:
             raise RankDeficientError(exc.min_eigenvalue, exc.rank_eps, lam=lam) from exc
-        gamma_u_pair = res_pair.phase
-        gamma_u_single = res_single.phase
-        dgu = float(wrap_angle(gamma_u_pair - 2 * gamma_u_single))
-        steps_used = loop_steps
-        convergence = max(res_pair.convergence_estimate, res_single.convergence_estimate)
+        fields.update(gamma_u_pair=res_pair.phase, gamma_u_single=res_single.phase,
+                      delta_gamma_u=float(wrap_angle(res_pair.phase - 2 * res_single.phase)),
+                      steps_used=loop_steps,
+                      convergence_estimate=max(res_pair.convergence_estimate,
+                                               res_single.convergence_estimate))
 
-    return PhaseRecord(
-        gamma_int_pair=gamma_int_pair,
-        gamma_int_single=gamma_int_single,
-        delta_gamma=dg,
-        gamma_u_pair=gamma_u_pair,
-        gamma_u_single=gamma_u_single,
-        delta_gamma_u=dgu,
-        steps_used=steps_used,
-        convergence_estimate=convergence,
-    )
+    return PhaseRecord(**fields)

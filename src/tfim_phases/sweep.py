@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import RankDeficientError, UnphysicalStateError, VisibilityError
 from .ising import MAX_SEPARATION, CouplingRatio
-from .phases import RANK_EPS, PhaseRecord, compute_phases
+from .phases import KINDS, RANK_EPS, PhaseRecord, compute_phases
 from .states import MIN_LOOP_STEPS, LoopSpec
 
 __all__ = [
@@ -23,8 +24,6 @@ __all__ = [
     "CSV_HEADER",
     "Y_COLUMNS",
 ]
-
-KINDS = ("interferometric", "uhlmann")
 
 # CSV columns 4-11 in order; each of them can also be the y axis of an SVG.
 Y_COLUMNS = {
@@ -97,22 +96,23 @@ class SweepRecord:
     delta_gamma_u_unwrapped: float | None = None
 
 
-def _evaluate_point(args):
-    lam, r, theta, kinds, loop_steps, quad_tol, rank_eps = args
+def _evaluate_point(config, point):
+    """One (lambda, r, theta) grid point; an error there becomes its status."""
+    lam, r, theta = point
     try:
-        rec = compute_phases(
-            lam, r, theta, kinds=kinds, loop_steps=loop_steps,
-            quad_tol=quad_tol, rank_eps=rank_eps,
-        )
-        return rec, "ok"
+        return SweepRecord(lam, r, theta, compute_phases(
+            lam, r, theta, kinds=config.kinds, loop_steps=config.loop_steps,
+            quad_tol=config.quad_tol, rank_eps=config.rank_eps,
+        ))
     except RankDeficientError:
-        return PhaseRecord(), "rank_deficient"
+        status = "rank_deficient"
     except VisibilityError:
-        return PhaseRecord(), "vanishing_visibility"
+        status = "vanishing_visibility"
     except UnphysicalStateError:
-        return PhaseRecord(), "unphysical_state"
+        status = "unphysical_state"
     except (ValueError, np.linalg.LinAlgError, ArithmeticError):
-        return PhaseRecord(), "numerical_error"
+        status = "numerical_error"
+    return SweepRecord(lam, r, theta, status=status)
 
 
 def _unwrap_family(records, attr, target):
@@ -128,41 +128,36 @@ def _unwrap_family(records, attr, target):
 def run_sweep(config: SweepConfig, workers: int = 1):
     """Evaluate every grid point; failures become status rows, not aborts.
 
-    Output is ordered by (theta, r, lambda) ascending and is independent of
-    the worker count.
+    Records come in (theta, r, lambda) ascending order, independent of the
+    worker count (>= 1; more than 1 runs a process pool).  lambda runs
+    fastest, so each (theta, r) family is one run of lambda_steps records,
+    and each family's deviations are unwrapped along lambda on their own,
+    also when r_list or theta_list repeats a value.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     grid = [
         (float(lam), int(r), float(theta))
         for theta in sorted(config.theta_list)
         for r in sorted(config.r_list)
         for lam in config.lambda_grid()
     ]
-    tasks = [
-        (lam, r, theta, tuple(config.kinds), config.loop_steps,
-         config.quad_tol, config.rank_eps)
-        for lam, r, theta in grid
-    ]
+    evaluate = functools.partial(_evaluate_point, config)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_point, tasks, chunksize=4))
+            records = list(pool.map(evaluate, grid, chunksize=4))
     else:
-        results = [_evaluate_point(t) for t in tasks]
+        records = list(map(evaluate, grid))
 
-    records = [
-        SweepRecord(lam=lam, r=r, theta=theta, record=rec, status=status)
-        for (lam, r, theta), (rec, status) in zip(grid, results)
-    ]
-
-    for theta in sorted(config.theta_list):
-        for r in sorted(config.r_list):
-            family = [x for x in records if x.r == r and x.theta == float(theta)]
-            if config.unwrap:
-                _unwrap_family(family, "delta_gamma", "delta_gamma_unwrapped")
-                _unwrap_family(family, "delta_gamma_u", "delta_gamma_u_unwrapped")
-            else:
-                for x in family:
-                    x.delta_gamma_unwrapped = x.record.delta_gamma
-                    x.delta_gamma_u_unwrapped = x.record.delta_gamma_u
+    if not config.unwrap:
+        for x in records:
+            x.delta_gamma_unwrapped = x.record.delta_gamma
+            x.delta_gamma_u_unwrapped = x.record.delta_gamma_u
+        return records
+    for i in range(0, len(records), config.lambda_steps):
+        family = records[i:i + config.lambda_steps]
+        _unwrap_family(family, "delta_gamma", "delta_gamma_unwrapped")
+        _unwrap_family(family, "delta_gamma_u", "delta_gamma_u_unwrapped")
     return records
 
 

@@ -520,6 +520,15 @@ class TestComputePhases:
         compute_phases(1.5, 1, THETA, kinds=kinds, loop_steps=64)
         assert shapes == expected
 
+    @pytest.mark.parametrize("kinds", [("uhlman",), ("interferometric", "both")])
+    def test_unknown_kind_rejected_before_any_work(self, monkeypatch, kinds):
+        def no_correlators(*args, **kwargs):
+            raise AssertionError("correlators called")
+
+        monkeypatch.setattr(phases, "correlators", no_correlators)
+        with pytest.raises(ValueError, match="kinds"):
+            compute_phases(0.5, 1, 1.0, kinds=kinds)
+
     def test_all_phases_principal(self):
         rec = compute_phases(1.5, 1, THETA, loop_steps=200)
         for name in ("gamma_int_pair", "gamma_int_single", "delta_gamma",

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from tfim_phases import sweep
+from tfim_phases import ising, sweep
 from tfim_phases.cli import main
 from tfim_phases.errors import UnphysicalStateError
 from tfim_phases.ising import CouplingRatio
@@ -84,6 +84,31 @@ class TestRunSweep:
             expected += [status, "ok"]
         assert [x.status for x in records] == expected
         assert all(x.record.delta_gamma == 0.0 for x in records if x.status == "ok")
+
+    def test_repeated_r_unwraps_each_copy_as_its_own_family(self):
+        # the interferometric deviation at theta = 1 wraps once across
+        # lambda in [0.1, 2], so unwrapping the two copies as one family
+        # moves the second copy's curve by 2 pi
+        single = run_sweep(small_config(lambda_min=0.1, lambda_max=2.0,
+                                        lambda_steps=20, theta_list=(1.0,)))
+        assert max(abs(x.delta_gamma_unwrapped - x.record.delta_gamma)
+                   for x in single) > np.pi
+        doubled = run_sweep(small_config(lambda_min=0.1, lambda_max=2.0,
+                                         lambda_steps=20, theta_list=(1.0,),
+                                         r_list=(1, 1)))
+        assert len(doubled) == 40
+        for copy in (doubled[:20], doubled[20:]):
+            assert [x.delta_gamma_unwrapped for x in copy] == [
+                x.delta_gamma_unwrapped for x in single]
+
+    def test_workers_below_one_rejected_before_any_point(self, monkeypatch):
+        def no_point(*args, **kwargs):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(sweep, "compute_phases", no_point)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                run_sweep(small_config(), workers=workers)
 
     def test_unwrap_disabled_copies_principal(self):
         config = small_config(unwrap=False)
@@ -306,6 +331,17 @@ class TestCli:
         assert captured.err.startswith("error: ") and "r_max" in captured.err
         assert captured.out == ""
 
+    def test_oracle_r_max_beyond_smallest_chain_prints_nothing(self, capsys, monkeypatch):
+        def no_diagonalization(*args, **kwargs):
+            raise AssertionError("exact diagonalization ran")
+
+        monkeypatch.setattr(ising, "exact_diag_correlators", no_diagonalization)
+        # the 8-site chain carries separations up to 4 only
+        assert main(["oracle", "--lam", "0.7", "--n-sites", "10", "8", "--r-max", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "r_max" in captured.err
+        assert captured.out == ""
+
     def test_phase_command_next_to_critical_point(self, capsys):
         # the quadrature that the closed form replaced failed for
         # 1e-10 <= |lam - 1| <= 1e-8
@@ -346,6 +382,8 @@ class TestCli:
         ["--kinds", "interferometric", "--quad-tol", "1e-13"],
         ["--kinds", "interferometric", "--r", "10001"],
         ["--kinds", "interferometric", "--svg-y", "bogus"],
+        ["--kinds", "interferometric", "--workers", "0"],
+        ["--kinds", "interferometric", "--workers", "-3"],
     ])
     def test_sweep_rejects_bad_values_before_writing(self, tmp_path, capsys, flags):
         out_csv = tmp_path / "x.csv"
@@ -422,6 +460,12 @@ class TestCli:
         assert csv_lines[0] == CSV_HEADER
         assert len(csv_lines) == 1 + 39 * 4
         ET.parse(tmp_path / "fig1_delta_gamma_unwrapped.svg")
+
+    def test_preset_rejects_workers_below_one(self, tmp_path, capsys):
+        assert main(["preset", "fig1", "--out-dir", str(tmp_path), "--workers", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "workers" in err
+        assert not (tmp_path / "fig1.csv").exists()
 
     def test_oracle_command(self, capsys):
         code = main(["oracle", "--lam", "0.5", "--n-sites", "6", "8", "--r-max", "2"])
