@@ -16,7 +16,6 @@ from tfim_phases import (
     CouplingRatio,
     LoopSpec,
     correlators,
-    evolve,
     loop_unitary,
     two_site_state,
     uhlmann_connection,
@@ -36,7 +35,8 @@ for dim, name in ((2, "one site"), (4, "pair")):
 print()
 print("Connection and holonomy at lam = 1.5, r = 1, theta = pi/3")
 rho = two_site_state(correlators(1, CouplingRatio(1.5)))
-a0 = uhlmann_connection(evolve(rho, 0.0, THETA))
+u = loop_unitary(0.0, THETA, 4)
+a0 = uhlmann_connection(u @ rho @ u.conj().T)
 print(f"  ||A(0) + A(0)^dag||_max = {np.abs(a0 + a0.conj().T).max():.2e}  (anti-Hermitian)")
 for steps in (250, 1000, 4000):
     v = uhlmann_holonomy(rho, LoopSpec(theta=THETA, steps=steps))

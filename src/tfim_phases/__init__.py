@@ -37,7 +37,6 @@ from .phases import (
 )
 from .states import (
     LoopSpec,
-    evolve,
     loop_generator,
     loop_unitary,
     single_site_state,

@@ -33,7 +33,9 @@ QuadratureError when it is built.  The names quad_tol and QuadratureError
 are kept from the quadrature that the closed form replaced.
 
 A finite-chain exact-diagonalization oracle is included for testing; it is
-not part of the production path.
+not part of the production path.  It shares none of the free-fermion maths
+above: it builds the 2^n Hamiltonian as a sparse matrix and finds its two
+lowest states by Lanczos, for chains of up to MAX_CHAIN_SITES = 16 spins.
 
 Hamiltonian convention: H = -lam * sum_j X_j X_{j+1} - sum_j Z_j with periodic
 boundaries.  The critical coupling is lam = 1.
@@ -66,6 +68,7 @@ __all__ = [
     "toeplitz_element",
     "correlators",
     "ground_energy_density",
+    "MAX_CHAIN_SITES",
     "check_chain_size",
     "exact_diag_correlators",
 ]
@@ -264,41 +267,44 @@ def ground_energy_density(params: CouplingRatio) -> float:
 
 _DEGENERACY_GAP = 1e-8
 
+MAX_CHAIN_SITES = 16
+
 
 def _chain_hamiltonian(n_sites, lam):
+    """Periodic chain Hamiltonian as a CSR matrix.
+
+    Each basis state |b> has one diagonal entry, -sum_j Z_j, and one entry
+    -lam at b with bits j and j + 1 flipped, for each of the n_sites bonds.
+    """
+    import scipy.sparse
+
     dim = 1 << n_sites
     idx = np.arange(dim)
-    bits = [((idx >> j) & 1) for j in range(n_sites)]
-    h = np.zeros((dim, dim))
-    h[idx, idx] = -sum((1 - 2 * b) for b in bits).astype(float)
-    for j in range(n_sites):
-        mask = (1 << j) | (1 << ((j + 1) % n_sites))
-        h[idx ^ mask, idx] += -lam
-    return h
+    diag = -sum(1 - 2 * ((idx >> j) & 1) for j in range(n_sites))
+    cols = np.column_stack(
+        [idx] + [idx ^ ((1 << j) | (1 << ((j + 1) % n_sites))) for j in range(n_sites)])
+    data = np.column_stack([diag.astype(float)] + [np.full(dim, -lam)] * n_sites)
+    indptr = np.arange(0, cols.size + 1, n_sites + 1)
+    return scipy.sparse.csr_array((data.ravel(), cols.ravel(), indptr), shape=(dim, dim))
 
 
 def check_chain_size(n_sites: int):
     """Raise ValueError unless exact_diag_correlators accepts n_sites."""
-    if n_sites < 4 or n_sites > 12 or n_sites % 2:
-        raise ValueError(f"n_sites must be even and within [4, 12], got {n_sites}")
+    if n_sites < 4 or n_sites > MAX_CHAIN_SITES or n_sites % 2:
+        raise ValueError(
+            f"n_sites must be even and within [4, {MAX_CHAIN_SITES}], got {n_sites}")
 
 
-def exact_diag_correlators(n_sites: int, lam: float):
-    """Ground-state correlators of the periodic chain with n_sites spins.
+def _ground_correlators(n_sites, energies, vectors):
+    """{r: Correlators} of the lowest state, given the two lowest in ascending order.
 
-    Dense diagonalization of the full 2^n Hamiltonian; returns a dict
-    {r: Correlators} for r = 1 .. n_sites // 2.  When the two lowest states
-    are quasi-degenerate (gap < _DEGENERACY_GAP, ordered phase at finite size),
-    expectation values are averaged over both.
+    When the two are quasi-degenerate (gap < _DEGENERACY_GAP, ordered phase
+    at finite size), expectation values are averaged over both; the average
+    does not depend on the basis the solver picked in their span.
     """
-    check_chain_size(n_sites)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    h = _chain_hamiltonian(n_sites, lam)
-    w, v = scipy.linalg.eigh(h, subset_by_index=[0, 1])
-    states = [v[:, 0]]
-    if w[1] - w[0] < _DEGENERACY_GAP:
-        states.append(v[:, 1])
+    states = [vectors[:, 0]]
+    if energies[1] - energies[0] < _DEGENERACY_GAP:
+        states.append(vectors[:, 1])
 
     dim = 1 << n_sites
     idx = np.arange(dim)
@@ -328,3 +334,25 @@ def exact_diag_correlators(n_sites: int, lam: float):
             c_zz=ev_diag(z[0] * z[r]),
         )
     return out
+
+
+def exact_diag_correlators(n_sites: int, lam: float):
+    """Ground-state correlators of the periodic chain with n_sites spins.
+
+    The two lowest states of the sparse 2^n Hamiltonian come from Lanczos
+    (ARPACK, to machine precision) started from a fixed vector, so the
+    result does not depend on the process or on earlier calls.  Returns a
+    dict {r: Correlators} for r = 1 .. n_sites // 2.  When the two lowest
+    states are quasi-degenerate (gap < _DEGENERACY_GAP, ordered phase at
+    finite size), expectation values are averaged over both.
+    """
+    import scipy.sparse.linalg
+
+    check_chain_size(n_sites)
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    h = _chain_hamiltonian(n_sites, lam)
+    start = np.random.default_rng(0).standard_normal(h.shape[0])
+    w, v = scipy.sparse.linalg.eigsh(h, k=2, which="SA", tol=0, v0=start)
+    order = np.argsort(w)
+    return _ground_correlators(n_sites, w[order], v[:, order])

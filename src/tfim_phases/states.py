@@ -27,7 +27,6 @@ __all__ = [
     "two_site_state",
     "loop_generator",
     "loop_unitary",
-    "evolve",
 ]
 
 MIN_LOOP_STEPS = 16
@@ -95,12 +94,3 @@ def loop_unitary(phi: float, theta: float, dim: int) -> np.ndarray:
     if dim == 4:
         ry = (ry[:, None, :, None] * ry[None, :, None, :]).reshape(4, 4)
     return np.exp(np.diagonal(loop_generator(dim)) * phi)[:, None] * ry
-
-
-def evolve(rho: np.ndarray, phi: float, theta: float) -> np.ndarray:
-    """U(phi) rho U(phi)^dag on one site (2x2) or on the pair (4x4)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {rho.shape}")
-    u = loop_unitary(phi, theta, rho.shape[0])
-    return u @ rho @ u.conj().T

@@ -129,10 +129,11 @@ def run_sweep(config: SweepConfig, workers: int = 1):
     """Evaluate every grid point; failures become status rows, not aborts.
 
     Records come in (theta, r, lambda) ascending order, independent of the
-    worker count (>= 1; more than 1 runs a process pool).  lambda runs
-    fastest, so each (theta, r) family is one run of lambda_steps records,
-    and each family's deviations are unwrapped along lambda on their own,
-    also when r_list or theta_list repeats a value.
+    worker count (>= 1; more than 1 runs a process pool, with at most one
+    worker per grid point).  lambda runs fastest, so each (theta, r) family
+    is one run of lambda_steps records, and each family's deviations are
+    unwrapped along lambda on their own, also when r_list or theta_list
+    repeats a value.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -144,7 +145,8 @@ def run_sweep(config: SweepConfig, workers: int = 1):
     ]
     evaluate = functools.partial(_evaluate_point, config)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all of its workers up front: no more than there are points
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(grid))) as pool:
             records = list(pool.map(evaluate, grid, chunksize=4))
     else:
         records = list(map(evaluate, grid))

@@ -29,12 +29,13 @@ from tfim_phases.phases import (
 )
 from tfim_phases.states import (
     LoopSpec,
-    evolve,
     loop_generator,
     single_site_state,
     two_site_state,
 )
 from tfim_phases.sweep import emit_csv, preset, run_sweep
+
+from oracles import evolve
 
 THETA = np.pi / 3
 

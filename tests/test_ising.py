@@ -19,6 +19,9 @@ from tfim_phases.ising import (
     toeplitz_element,
 )
 
+from oracles import dense_chain_hamiltonian, dense_exact_diag_correlators
+
+
 def dispersion(phi, lam):
     """Quasiparticle energy sqrt((lam sin phi)^2 + (1 + lam cos phi)^2)."""
     if lam < 0:
@@ -280,11 +283,12 @@ class TestClosedForm:
 
     def test_no_special_function_library_loaded(self):
         # scipy.special, scipy.integrate and mpmath would add to the import
-        # time and memory of every run
+        # time and memory of every run, and scipy.sparse belongs to the
+        # exact-diagonalization oracle alone
         code = ("import sys, tfim_phases\n"
                 "tfim_phases.correlators(10, tfim_phases.CouplingRatio(0.7))\n"
-                "print([m for m in ('scipy.special', 'scipy.integrate', 'mpmath')"
-                " if m in sys.modules])\n")
+                "print([m for m in ('scipy.special', 'scipy.integrate', 'mpmath',"
+                " 'scipy.sparse') if m in sys.modules])\n")
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -392,6 +396,47 @@ class TestExactDiagOracle:
         with pytest.raises(ValueError):
             exact_diag_correlators(7, 1.0)
         with pytest.raises(ValueError):
-            exact_diag_correlators(14, 1.0)
+            exact_diag_correlators(18, 1.0)
         with pytest.raises(ValueError):
             exact_diag_correlators(2, 1.0)
+
+    @pytest.mark.parametrize("lam", [-0.5, math.nan, math.inf])
+    def test_coupling_validation(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            exact_diag_correlators(4, lam)
+
+    def test_deterministic_across_calls(self):
+        first = exact_diag_correlators(10, 1.5)
+        exact_diag_correlators(8, 0.7)
+        again = exact_diag_correlators(10, 1.5)
+        for r, c in first.items():
+            assert [c.m, c.c_xx, c.c_yy, c.c_zz] == [
+                again[r].m, again[r].c_xx, again[r].c_yy, again[r].c_zz]
+
+    # n = 8 at lam = 20 (gap 3.3e-10) and n = 10 at lam = 8 (gap 2.7e-9) are
+    # quasi-degenerate: both solvers average over the two lowest states
+    @pytest.mark.parametrize("n_sites,lam", [
+        *((n, lam) for n in (4, 6, 8, 10) for lam in (0.0, 0.5, 1.0, 1.5, 3.0)),
+        (8, 20.0), (10, 8.0)])
+    def test_sparse_solver_matches_dense(self, n_sites, lam):
+        sparse = exact_diag_correlators(n_sites, lam)
+        dense = dense_exact_diag_correlators(n_sites, lam)
+        assert sparse.keys() == dense.keys()
+        for r, c in sparse.items():
+            for q in ("m", "c_xx", "c_yy", "c_zz"):
+                assert abs(getattr(c, q) - getattr(dense[r], q)) <= 1e-10, (r, q)
+
+    @pytest.mark.parametrize("n_sites,lam", [(8, 20.0), (10, 8.0)])
+    def test_quasi_degenerate_cases_reach_two_state_average(self, n_sites, lam):
+        w = np.linalg.eigvalsh(dense_chain_hamiltonian(n_sites, lam))
+        assert w[1] - w[0] < ising._DEGENERACY_GAP < w[2] - w[0]
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5])
+    def test_monotone_approach_up_to_sixteen_sites(self, lam):
+        sizes = (12, 14, 16)
+        thermo = {r: correlators(r, CouplingRatio(lam)) for r in (1, 2, 3)}
+        eds = {n: exact_diag_correlators(n, lam) for n in sizes}
+        for r in (1, 2, 3):
+            for q in ("m", "c_xx", "c_yy", "c_zz"):
+                gaps = [abs(getattr(eds[n][r], q) - getattr(thermo[r], q)) for n in sizes]
+                assert all(a >= b - 1e-10 for a, b in zip(gaps, gaps[1:])), (r, q, gaps)

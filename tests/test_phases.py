@@ -19,12 +19,13 @@ from tfim_phases.phases import (
 )
 from tfim_phases.states import (
     LoopSpec,
-    evolve,
     loop_generator,
     loop_unitary,
     single_site_state,
     two_site_state,
 )
+
+from oracles import evolve
 
 THETA = np.pi / 3
 

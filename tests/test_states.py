@@ -7,12 +7,13 @@ from tfim_phases.ising import Correlators, CouplingRatio, correlators
 from tfim_phases.linalg import SIGMA_Z
 from tfim_phases.states import (
     LoopSpec,
-    evolve,
     loop_generator,
     loop_unitary,
     single_site_state,
     two_site_state,
 )
+
+from oracles import evolve
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -110,6 +110,31 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="workers"):
                 run_sweep(small_config(), workers=workers)
 
+    def test_pool_has_at_most_one_worker_per_point(self, monkeypatch):
+        # a fork-based pool starts all of its workers at once, so the count is
+        # read from a stand-in executor that runs the points in this process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(sweep.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        for workers, points, expected in ((100000, 1, 1), (5, 3, 3), (2, 3, 2)):
+            config = small_config(lambda_steps=points)
+            assert run_sweep(config, workers=workers) == run_sweep(config, workers=1)
+            assert sizes[-1] == expected
+        assert len(sizes) == 3
+
     def test_unwrap_disabled_copies_principal(self):
         config = small_config(unwrap=False)
         for rec in run_sweep(config):
@@ -320,7 +345,7 @@ class TestCli:
         assert captured.out == ""
 
     def test_oracle_bad_size_prints_nothing(self, capsys):
-        assert main(["oracle", "--lam", "1", "--n-sites", "8", "14"]) == 1
+        assert main(["oracle", "--lam", "1", "--n-sites", "8", "18"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "n_sites" in captured.err
         assert captured.out == ""
