@@ -169,6 +169,8 @@ def _cmd_oracle(args):
     params = ising.CouplingRatio(args.lam, args.quad_tol)
     for n in args.n_sites:
         ising.check_chain_size(n)
+    if len(set(args.n_sites)) < len(args.n_sites):
+        raise ValueError(f"n_sites must not repeat a size, got {args.n_sites}")
     r_cap = min(args.n_sites) // 2  # the largest separation every chain has
     if not 1 <= args.r_max <= r_cap:
         raise ValueError(f"r_max must be within [1, min(n_sites) // 2 = {r_cap}], got {args.r_max}")

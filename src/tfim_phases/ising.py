@@ -34,8 +34,14 @@ are kept from the quadrature that the closed form replaced.
 
 A finite-chain exact-diagonalization oracle is included for testing; it is
 not part of the production path.  It shares none of the free-fermion maths
-above: it builds the 2^n Hamiltonian as a sparse matrix and finds its two
-lowest states by Lanczos, for chains of up to MAX_CHAIN_SITES = 16 spins.
+above, for chains of up to MAX_CHAIN_SITES = 16 spins.  In the Z basis the
+off-diagonal entries of H are -lam <= 0 and bond flips connect each Z-parity
+sector, so by Perron-Frobenius each sector's ground state is non-degenerate,
+has positive amplitudes and is symmetric under the rotations and the
+reflection of the ring.  The oracle diagonalizes H, with numpy's dense eigh,
+in the span of each sector's symmetry orbits (at most 122 states at n = 12
+and 1162 at n = 16); it uses no sparse matrix, and neither this module nor
+the CLI imports scipy.
 
 Hamiltonian convention: H = -lam * sum_j X_j X_{j+1} - sum_j Z_j with periodic
 boundaries.  The critical coupling is lam = 1.
@@ -54,7 +60,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import QuadratureError
 from .linalg import det_real
@@ -244,8 +250,11 @@ def correlators(r: int, params: CouplingRatio) -> Correlators:
         raise ValueError(f"r must be >= 1, got {r}")
     g = _elements(r, params)
     m = magnetization(params)
-    c_xx = det_real(scipy.linalg.toeplitz(g[r - 1::-1], g[r - 1:2 * r - 1]))
-    c_yy = det_real(scipy.linalg.toeplitz(g[r + 1:], g[r + 1:1:-1]))
+    # read-only strided views of g, as scipy.linalg.toeplitz builds them but
+    # with no copy: entry (i, j) = g[r-1-i+j] = G_{j-i-1} and g[r+1+i-j] = G_{i-j+1}
+    step = g.strides[0]
+    c_xx = det_real(as_strided(g[r - 1:], (r, r), (-step, step), writeable=False))
+    c_yy = det_real(as_strided(g[r + 1:], (r, r), (step, -step), writeable=False))
     return Correlators(r=r, m=m, c_xx=c_xx, c_yy=c_yy, c_zz=float(m * m - g[2 * r] * g[0]))
 
 
@@ -270,22 +279,52 @@ _DEGENERACY_GAP = 1e-8
 MAX_CHAIN_SITES = 16
 
 
-def _chain_hamiltonian(n_sites, lam):
-    """Periodic chain Hamiltonian as a CSR matrix.
+def _sector_ground_states(n_sites, lam):
+    """Lowest state of each Z-parity sector of the periodic chain.
 
-    Each basis state |b> has one diagonal entry, -sum_j Z_j, and one entry
-    -lam at b with bits j and j + 1 flipped, for each of the n_sites bonds.
+    In the Z basis every off-diagonal entry of H is -lam <= 0, and bond flips
+    connect each parity sector, so by Perron-Frobenius each sector's ground
+    state is non-degenerate with positive amplitudes.  It is therefore
+    invariant under the rotations and the reflection of the ring and lies in
+    the span of the orbit sums |A> = |A|^(-1/2) sum_{b in A} |b>, where
+
+        <A|H|B> = sqrt(|B| / |A|) sum_j (-lam)
+
+    over the bonds j that flip B's representative (the smallest state in
+    its orbit) into A, plus -sum_j Z_j on the diagonal.  One dense eigh per
+    parity block gives its lowest state.  Returns (energies, vectors): the
+    energy of the even and of the odd sector, and the two normalized states
+    as columns of the 2^n basis.
     """
-    import scipy.sparse
-
     dim = 1 << n_sites
     idx = np.arange(dim)
-    diag = -sum(1 - 2 * ((idx >> j) & 1) for j in range(n_sites))
-    cols = np.column_stack(
-        [idx] + [idx ^ ((1 << j) | (1 << ((j + 1) % n_sites))) for j in range(n_sites)])
-    data = np.column_stack([diag.astype(float)] + [np.full(dim, -lam)] * n_sites)
-    indptr = np.arange(0, cols.size + 1, n_sites + 1)
-    return scipy.sparse.csr_array((data.ravel(), cols.ravel(), indptr), shape=(dim, dim))
+    mirror = sum(((idx >> j) & 1) << (n_sites - 1 - j) for j in range(n_sites))
+    rep = idx
+    for b in (idx, mirror):
+        for s in range(n_sites):
+            rep = np.minimum(rep, ((b >> s) | (b << (n_sites - s))) & (dim - 1))
+    reps, label = np.unique(rep, return_inverse=True)
+    size = np.bincount(label)
+    ones = sum((reps >> j) & 1 for j in range(n_sites))
+    src = np.tile(np.arange(reps.size), n_sites)
+    dst = label[np.concatenate(
+        [reps ^ ((1 << j) | (1 << ((j + 1) % n_sites))) for j in range(n_sites)])]
+    hop = -lam * np.sqrt(size[src] / size[dst])
+
+    energies, vectors = np.zeros(2), np.zeros((dim, 2))
+    for parity in (0, 1):
+        block = np.flatnonzero(ones % 2 == parity)
+        where = np.zeros(reps.size, dtype=int)
+        where[block] = np.arange(block.size)
+        h = np.diag(2.0 * ones[block] - n_sites)  # -sum_j Z_j
+        bond = ones[src] % 2 == parity
+        np.add.at(h, (where[dst[bond]], where[src[bond]]), hop[bond])
+        w, v = np.linalg.eigh(h)
+        amplitude = np.zeros(reps.size)
+        amplitude[block] = v[:, 0]
+        energies[parity] = w[0]
+        vectors[:, parity] = amplitude[label] / np.sqrt(size[label])
+    return energies, vectors
 
 
 def check_chain_size(n_sites: int):
@@ -296,11 +335,12 @@ def check_chain_size(n_sites: int):
 
 
 def _ground_correlators(n_sites, energies, vectors):
-    """{r: Correlators} of the lowest state, given the two lowest in ascending order.
+    """{r: Correlators} of the lowest state, given two states in ascending energy order.
 
-    When the two are quasi-degenerate (gap < _DEGENERACY_GAP, ordered phase
-    at finite size), expectation values are averaged over both; the average
-    does not depend on the basis the solver picked in their span.
+    The two are the two lowest levels or the ground states of the two parity
+    sectors.  When they are quasi-degenerate (gap < _DEGENERACY_GAP, ordered
+    phase at finite size), expectation values are averaged over both; the
+    average does not depend on the basis the solver picked in their span.
     """
     states = [vectors[:, 0]]
     if energies[1] - energies[0] < _DEGENERACY_GAP:
@@ -339,20 +379,18 @@ def _ground_correlators(n_sites, energies, vectors):
 def exact_diag_correlators(n_sites: int, lam: float):
     """Ground-state correlators of the periodic chain with n_sites spins.
 
-    The two lowest states of the sparse 2^n Hamiltonian come from Lanczos
-    (ARPACK, to machine precision) started from a fixed vector, so the
-    result does not depend on the process or on earlier calls.  Returns a
-    dict {r: Correlators} for r = 1 .. n_sites // 2.  When the two lowest
-    states are quasi-degenerate (gap < _DEGENERACY_GAP, ordered phase at
-    finite size), expectation values are averaged over both.
+    The ground state of each Z-parity sector is non-degenerate and symmetric
+    under the rotations and the reflection of the ring (Perron-Frobenius), so
+    _sector_ground_states finds each with a dense numpy eigh in the span of
+    that sector's symmetry orbits, with no sparse matrix and no random start
+    vector; repeated calls are bitwise equal.  Returns a dict {r: Correlators}
+    for r = 1 .. n_sites // 2.  When the two sector ground states are
+    quasi-degenerate (gap < _DEGENERACY_GAP, ordered phase at finite size),
+    expectation values are averaged over both.
     """
-    import scipy.sparse.linalg
-
     check_chain_size(n_sites)
     if not 0 <= lam < np.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    h = _chain_hamiltonian(n_sites, lam)
-    start = np.random.default_rng(0).standard_normal(h.shape[0])
-    w, v = scipy.sparse.linalg.eigsh(h, k=2, which="SA", tol=0, v0=start)
-    order = np.argsort(w)
-    return _ground_correlators(n_sites, w[order], v[:, order])
+    energies, vectors = _sector_ground_states(n_sites, lam)
+    order = np.argsort(energies)
+    return _ground_correlators(n_sites, energies[order], vectors[:, order])

@@ -1,10 +1,10 @@
 """Reference implementations that only the tests use.
 
 * ``evolve``: the loop's state U(phi) rho U(phi)^dag from ``loop_unitary``.
-* ``dense_exact_diag_correlators``: the exact-diagonalization oracle with a
-  dense Hamiltonian and ``scipy.linalg.eigh``, against which the sparse
-  Lanczos solver of ``ising.exact_diag_correlators`` is pinned.  It costs
-  about 8 s at n = 12, so the suite uses it up to n = 10.
+* ``dense_exact_diag_correlators``: the exact-diagonalization oracle with the
+  full dense 2^n Hamiltonian and ``scipy.linalg.eigh``, against which the
+  symmetry-reduced solver of ``ising.exact_diag_correlators`` is pinned.  It
+  costs about 8 s at n = 12, so the suite uses it up to n = 10.
 """
 
 import numpy as np

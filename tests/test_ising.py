@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 from tfim_phases import ising
 from tfim_phases.errors import QuadratureError
@@ -18,6 +20,7 @@ from tfim_phases.ising import (
     magnetization,
     toeplitz_element,
 )
+from tfim_phases.linalg import det_real
 
 from oracles import dense_chain_hamiltonian, dense_exact_diag_correlators
 
@@ -283,8 +286,8 @@ class TestClosedForm:
 
     def test_no_special_function_library_loaded(self):
         # scipy.special, scipy.integrate and mpmath would add to the import
-        # time and memory of every run, and scipy.sparse belongs to the
-        # exact-diagonalization oracle alone
+        # time and memory of every run (test_no_scipy_on_any_cli_path checks
+        # all of scipy on every CLI path)
         code = ("import sys, tfim_phases\n"
                 "tfim_phases.correlators(10, tfim_phases.CouplingRatio(0.7))\n"
                 "print([m for m in ('scipy.special', 'scipy.integrate', 'mpmath',"
@@ -295,6 +298,34 @@ class TestClosedForm:
                              text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+    def test_no_scipy_on_any_cli_path(self):
+        # importing scipy.linalg alone costs about 0.3 s of every run; the
+        # package needs numpy only, from import through each CLI subcommand
+        code = textwrap.dedent("""\
+            import contextlib, io, sys
+            def loaded(step):
+                print(step, sorted(m for m in sys.modules
+                                   if m == "scipy" or m.startswith("scipy.")))
+            import tfim_phases, tfim_phases.cli
+            loaded("import")
+            tfim_phases.correlators(10, tfim_phases.CouplingRatio(0.7))
+            loaded("correlators")
+            tfim_phases.compute_phases(0.5, 1, 1.0, kinds=("interferometric", "uhlmann"))
+            loaded("compute_phases")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = tfim_phases.cli.main(
+                    ["oracle", "--lam", "1", "--n-sites", "8", "--r-max", "1"])
+            assert code == 0
+            loaded("oracle")
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == [
+            f"{step} []" for step in ("import", "correlators", "compute_phases", "oracle")]
 
 
 class TestCorrelators:
@@ -335,6 +366,25 @@ class TestCorrelators:
     def test_critical_xx_matches_pfeuty(self, r):
         exact = pfeuty_xx(r)
         assert abs(correlators(r, CouplingRatio(1.0)).c_xx - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("r", [200, 1000])
+    def test_critical_xx_asymptote(self, r):
+        # e^(1/4) 2^(1/12) A^-3 r^(-1/4) (1 - 1/(64 r^2)), A Glaisher's
+        # constant; without the 1/(64 r^2) term the gap is 3.9e-7 at r = 200
+        with mpmath.workdps(30):
+            exact = float(mpmath.exp(0.25) * mpmath.root(2, 12) / mpmath.glaisher**3
+                          / mpmath.root(r, 4) * (1 - mpmath.mpf(1) / (64 * r**2)))
+        assert abs(correlators(r, CouplingRatio(1.0)).c_xx - exact) <= 1e-11 * exact
+
+    @pytest.mark.parametrize("r,lam", [(r, lam) for r in (1, 2, 7, 100)
+                                       for lam in (0.0, 0.5, 1.0, 1.5, 3.0)])
+    def test_toeplitz_layout_matches_scipy(self, r, lam):
+        # c_xx = det[G_{j-i-1}], c_yy = det[G_{i-j+1}], built as scipy builds them
+        params = CouplingRatio(lam)
+        g = ising._elements(r, params)
+        c = correlators(r, params)
+        assert c.c_xx == det_real(scipy.linalg.toeplitz(g[r - 1::-1], g[r - 1:2 * r - 1]))
+        assert c.c_yy == det_real(scipy.linalg.toeplitz(g[r + 1:], g[r + 1:1:-1]))
 
     @pytest.mark.parametrize("lam", [1.5, 3.0])
     def test_ordered_xx_reaches_szego_limit(self, lam):
@@ -419,12 +469,27 @@ class TestExactDiagOracle:
         *((n, lam) for n in (4, 6, 8, 10) for lam in (0.0, 0.5, 1.0, 1.5, 3.0)),
         (8, 20.0), (10, 8.0)])
     def test_sparse_solver_matches_dense(self, n_sites, lam):
-        sparse = exact_diag_correlators(n_sites, lam)
+        reduced = exact_diag_correlators(n_sites, lam)
         dense = dense_exact_diag_correlators(n_sites, lam)
-        assert sparse.keys() == dense.keys()
-        for r, c in sparse.items():
+        assert reduced.keys() == dense.keys()
+        for r, c in reduced.items():
             for q in ("m", "c_xx", "c_yy", "c_zz"):
                 assert abs(getattr(c, q) - getattr(dense[r], q)) <= 1e-10, (r, q)
+
+    @pytest.mark.parametrize("n_sites,lam", [(n, lam) for n in (4, 6, 8, 10)
+                                             for lam in (0.0, 0.5, 1.0, 3.0)])
+    def test_sector_ground_states_solve_dense_hamiltonian(self, n_sites, lam):
+        h = dense_chain_hamiltonian(n_sites, lam)
+        parity = np.array([bin(b).count("1") % 2 for b in range(1 << n_sites)])
+        energies, vectors = ising._sector_ground_states(n_sites, lam)
+        for p in (0, 1):
+            psi, e = vectors[:, p], energies[p]
+            assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+            assert not psi[parity != p].any()
+            assert np.linalg.norm(h @ psi - e * psi) <= 1e-10
+            sector = np.flatnonzero(parity == p)
+            lowest = np.linalg.eigvalsh(h[np.ix_(sector, sector)])[0]
+            assert abs(e - lowest) <= 1e-10
 
     @pytest.mark.parametrize("n_sites,lam", [(8, 20.0), (10, 8.0)])
     def test_quasi_degenerate_cases_reach_two_state_average(self, n_sites, lam):

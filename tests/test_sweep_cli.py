@@ -367,6 +367,17 @@ class TestCli:
         assert captured.err.startswith("error: ") and "r_max" in captured.err
         assert captured.out == ""
 
+    def test_oracle_repeated_size_prints_nothing(self, capsys, monkeypatch):
+        def no_diagonalization(*args, **kwargs):
+            raise AssertionError("exact diagonalization ran")
+
+        monkeypatch.setattr(ising, "exact_diag_correlators", no_diagonalization)
+        # one table row per size: a repeated size would be dropped silently
+        assert main(["oracle", "--lam", "1", "--n-sites", "8", "8", "--r-max", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "n_sites" in captured.err
+        assert captured.out == ""
+
     def test_phase_command_next_to_critical_point(self, capsys):
         # the quadrature that the closed form replaced failed for
         # 1e-10 <= |lam - 1| <= 1e-8
