@@ -1,9 +1,9 @@
 """Anatomy of the Uhlmann (purification-transport) phase computation.
 
 Shows the loop model U(phi) = e^{K phi} U(0), the connection at the start
-of the loop, the holonomy unitary, the step-halving convergence estimate,
-and a reduced small-coupling sweep of the deviation delta_gamma_u with its
-slow approach to the product limit.
+of the loop, the holonomy unitary, the step error of the phase against its
+exact steps -> inf limit, and a reduced small-coupling sweep of the
+deviation delta_gamma_u with its slow approach to the product limit.
 
 Run:  python demos/03_uhlmann_deviation.py
 """
@@ -43,7 +43,7 @@ for steps in (250, 1000, 4000):
     unit = np.abs(v.conj().T @ v - np.eye(4)).max()
     print(f"  steps={steps:5d}: ||V^dag V - I||_max = {unit:.2e}")
 res = uhlmann_phase(rho, LoopSpec(theta=THETA, steps=2000))
-print(f"  phase = {res.phase:+.8f} rad, step-halving estimate = {res.convergence_estimate:.2e}")
+print(f"  phase = {res.phase:+.8f} rad, step error = {res.convergence_estimate:.2e}")
 
 print()
 print("Small-coupling behavior of delta_gamma_u (slow product-limit approach)")

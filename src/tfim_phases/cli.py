@@ -19,6 +19,19 @@ def _items(parse):
     return lambda raw: tuple(parse(x.strip()) for x in raw.split(",") if x.strip())
 
 
+_TRUTH = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _boolean(key):
+    """Parser of a config-file truth value: true/false, yes/no or 1/0, in any case."""
+    def parse(raw):
+        try:
+            return _TRUTH[raw.lower()]
+        except KeyError:
+            raise ValueError(f"{key} must be one of true/false/yes/no/1/0, got {raw!r}") from None
+    return parse
+
+
 # SweepConfig field -> (its `sweep` flag, argparse keywords of the flag,
 # parser of its config-file value).  A flag that is given overrides the file.
 _SWEEP_FIELDS = {
@@ -31,8 +44,7 @@ _SWEEP_FIELDS = {
     "loop_steps": ("--loop-steps", {"type": int}, int),
     "quad_tol": ("--quad-tol", {"type": float}, float),
     "rank_eps": ("--rank-eps", {"type": float}, float),
-    "unwrap": ("--no-unwrap", {"action": "store_false", "default": None},
-               lambda raw: raw.lower() in ("1", "true", "yes")),
+    "unwrap": ("--no-unwrap", {"action": "store_false", "default": None}, _boolean("unwrap")),
     "output_path": ("--out", {"help": "CSV output path (overrides config output_path)"},
                     str),
 }
@@ -136,6 +148,10 @@ def _cmd_sweep(args):
     config = SweepConfig(**kwargs)
     if not config.output_path:
         raise ValueError("no output path: pass --out or set output_path in the config file")
+    svg_kind, _ = Y_COLUMNS[args.svg_y]
+    if args.svg and svg_kind not in config.kinds:
+        raise ValueError(f"--svg-y {args.svg_y} needs kind {svg_kind}, which the sweep "
+                         f"does not run (kinds: {', '.join(config.kinds)})")
 
     records = run_sweep(config, workers=args.workers)
     emit_csv(records, config.output_path, quad_tol=config.quad_tol)
@@ -156,8 +172,8 @@ def _cmd_preset(args):
     csv_path = os.path.join(args.out_dir, f"{args.name}.csv")
     emit_csv(records, csv_path, quad_tol=config.quad_tol)
     print(f"wrote {csv_path}")
-    for kind, column in (("interferometric", "delta_gamma_unwrapped"),
-                         ("uhlmann", "delta_gamma_u_unwrapped")):
+    for column in ("delta_gamma_unwrapped", "delta_gamma_u_unwrapped"):
+        kind, _ = Y_COLUMNS[column]
         if kind in config.kinds:
             svg_path = os.path.join(args.out_dir, f"{args.name}_{column}.svg")
             emit_svg(records, svg_path, y_column=column)

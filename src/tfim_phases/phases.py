@@ -13,8 +13,10 @@ whose eigenvectors the loop carries to w = U(0) v:
   points, with the connection A(0) in closed form in the eigenbasis w, and
   the phase is the argument of Tr[rho(0; theta) V(2pi)].  Because the loop
   is a conjugation by e^{K phi}, the product telescopes exactly into a power
-  of one step factor; the result is the same finite-step product, with the
-  same first-order step error, from one eigendecomposition of the step factor.
+  of one step factor; the result is the same finite-step product, from one
+  eigendecomposition of the step factor.  By Lie-Trotter it tends to
+  V_inf = e^{2 pi K} e^{2 pi (A(0) - K)}, the matrix at first order in the
+  step and the phase at second order; the phase of V_inf gives the step error.
 
 Both deviations delta_gamma and delta_gamma_u compare the two-site phase
 against twice the single-site phase, each computed with the same code path
@@ -174,22 +176,19 @@ class UhlmannResult:
 
 
 def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult:
-    """Phase arg Tr[rho(0; theta) V(2pi)] with a step-halving error estimate."""
+    """Phase gamma_N = arg Tr[rho(0; theta) V(2pi)] at N = loop.steps, with its
+    step error |gamma_N - gamma_inf| against the phase of the limit V_inf."""
     base, a0 = _loop_start(rho, loop.theta, rank_eps)
-
-    def phase_at(steps):
-        t = np.trace(base @ _holonomy_matrix(a0, steps))
+    k = loop_generator(len(a0))
+    v_inf = loop_unitary(2 * np.pi, 0.0, len(a0)) @ expm_antihermitian(a0 - k, 2 * np.pi)
+    angles = []
+    for v in (_holonomy_matrix(a0, loop.steps), v_inf):
+        t = np.trace(base @ v)
         if abs(t) < _VISIBILITY_EPS:
             raise VisibilityError(abs(t), _VISIBILITY_EPS)
-        return float(np.angle(t))
-
-    full = phase_at(loop.steps)
-    half = phase_at(loop.steps // 2)
-    return UhlmannResult(
-        phase=full,
-        convergence_estimate=float(abs(wrap_angle(full - half))),
-        steps=loop.steps,
-    )
+        angles.append(float(np.angle(t)))
+    gamma_n, gamma_inf = angles
+    return UhlmannResult(gamma_n, float(abs(wrap_angle(gamma_n - gamma_inf))), loop.steps)
 
 
 # ---------------------------------------------------------------------------

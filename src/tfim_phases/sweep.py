@@ -25,16 +25,17 @@ __all__ = [
     "Y_COLUMNS",
 ]
 
-# CSV columns 4-11 in order; each of them can also be the y axis of an SVG.
+# CSV columns 4-11 in order, each with the phase kind that fills it and its
+# getter; each of them can also be the y axis of an SVG.
 Y_COLUMNS = {
-    "gamma_int_2site": lambda x: x.record.gamma_int_pair,
-    "gamma_int_1site": lambda x: x.record.gamma_int_single,
-    "delta_gamma": lambda x: x.record.delta_gamma,
-    "delta_gamma_unwrapped": lambda x: x.delta_gamma_unwrapped,
-    "gamma_u_2site": lambda x: x.record.gamma_u_pair,
-    "gamma_u_1site": lambda x: x.record.gamma_u_single,
-    "delta_gamma_u": lambda x: x.record.delta_gamma_u,
-    "delta_gamma_u_unwrapped": lambda x: x.delta_gamma_u_unwrapped,
+    "gamma_int_2site": ("interferometric", lambda x: x.record.gamma_int_pair),
+    "gamma_int_1site": ("interferometric", lambda x: x.record.gamma_int_single),
+    "delta_gamma": ("interferometric", lambda x: x.record.delta_gamma),
+    "delta_gamma_unwrapped": ("interferometric", lambda x: x.delta_gamma_unwrapped),
+    "gamma_u_2site": ("uhlmann", lambda x: x.record.gamma_u_pair),
+    "gamma_u_1site": ("uhlmann", lambda x: x.record.gamma_u_single),
+    "delta_gamma_u": ("uhlmann", lambda x: x.record.delta_gamma_u),
+    "delta_gamma_u_unwrapped": ("uhlmann", lambda x: x.delta_gamma_u_unwrapped),
 }
 
 CSV_HEADER = ",".join(["lambda", "r", "theta", *Y_COLUMNS, "steps", "quad_tol", "status"])
@@ -173,7 +174,7 @@ def _fmt(x):
 
 def _row_fields(rec: SweepRecord, quad_tol):
     return [_fmt(rec.lam), str(rec.r), _fmt(rec.theta),
-            *(_fmt(get(rec)) for get in Y_COLUMNS.values()),
+            *(_fmt(get(rec)) for _, get in Y_COLUMNS.values()),
             str(rec.record.steps_used), _fmt(quad_tol), rec.status]
 
 
@@ -194,27 +195,29 @@ def read_csv(path):
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected header in {path}")
+    names = CSV_HEADER.split(",")
     records = []
     quad_tol = CouplingRatio.quad_tol
     for ln in lines[1:]:
         f = ln.split(",")
-        if len(f) != 14:
-            raise ValueError(f"expected 14 fields, got {len(f)}: {ln!r}")
+        if len(f) != len(names):
+            raise ValueError(f"expected {len(names)} fields, got {len(f)}: {ln!r}")
+        row = dict(zip(names, f))
         rec = PhaseRecord(
-            gamma_int_pair=_parse(f[3]),
-            gamma_int_single=_parse(f[4]),
-            delta_gamma=_parse(f[5]),
-            gamma_u_pair=_parse(f[7]),
-            gamma_u_single=_parse(f[8]),
-            delta_gamma_u=_parse(f[9]),
-            steps_used=int(f[11]),
+            gamma_int_pair=_parse(row["gamma_int_2site"]),
+            gamma_int_single=_parse(row["gamma_int_1site"]),
+            delta_gamma=_parse(row["delta_gamma"]),
+            gamma_u_pair=_parse(row["gamma_u_2site"]),
+            gamma_u_single=_parse(row["gamma_u_1site"]),
+            delta_gamma_u=_parse(row["delta_gamma_u"]),
+            steps_used=int(row["steps"]),
         )
-        quad_tol = float(f[12]) if f[12] else quad_tol
+        quad_tol = float(row["quad_tol"]) if row["quad_tol"] else quad_tol
         records.append(SweepRecord(
-            lam=float(f[0]), r=int(f[1]), theta=float(f[2]), record=rec,
-            status=f[13],
-            delta_gamma_unwrapped=_parse(f[6]),
-            delta_gamma_u_unwrapped=_parse(f[10]),
+            lam=float(row["lambda"]), r=int(row["r"]), theta=float(row["theta"]), record=rec,
+            status=row["status"],
+            delta_gamma_unwrapped=_parse(row["delta_gamma_unwrapped"]),
+            delta_gamma_u_unwrapped=_parse(row["delta_gamma_u_unwrapped"]),
         ))
     return records, quad_tol
 
@@ -231,7 +234,7 @@ def emit_svg(records, path, y_column="delta_gamma_unwrapped"):
     """Render one polyline per (r, theta) family as a standalone SVG."""
     if y_column not in Y_COLUMNS:
         raise ValueError(f"unknown y_column {y_column!r}; choose from {sorted(Y_COLUMNS)}")
-    getter = Y_COLUMNS[y_column]
+    _, getter = Y_COLUMNS[y_column]
 
     families = {}
     for rec in records:

@@ -146,7 +146,7 @@ def test_criterion_5_uhlmann_invariants():
     slope = -np.polyfit(np.log(steps_list), np.log(errors), 1)[0]
     assert 0.8 <= slope <= 1.2, f"convergence slope {slope}"
 
-    # product factorization within twice the self-convergence estimate
+    # product factorization within twice the reported step error
     for _ in range(5):
         m = rng.uniform(0.2, 0.9)
         theta = rng.uniform(0.2, np.pi - 0.2)

@@ -118,6 +118,11 @@ def exact_holonomy(rho, theta):
     return scipy.linalg.expm(2 * np.pi * k) @ scipy.linalg.expm(2 * np.pi * (a0 - k))
 
 
+def exact_phase(rho, theta):
+    """Phase arg Tr[rho(0; theta) V_inf] of the steps -> inf holonomy; oracle."""
+    return float(np.angle(np.trace(evolve(rho, 0.0, theta) @ exact_holonomy(rho, theta))))
+
+
 def step_by_step_holonomy(rho, theta, steps):
     """Ordered product of exp(A(phi_k) dphi), diagonalizing rho(phi_k) at every
     grid point; reference oracle that does not use the covariance of A."""
@@ -412,6 +417,15 @@ class TestUhlmannPhase:
                 expected = uhlmann_single_site_closed(m, theta)
                 assert abs(wrap_angle(res.phase - expected)) <= 1e-6
 
+    def test_single_site_step_error_against_closed_form(self):
+        # the closed form is the phase of the steps -> inf holonomy, so the
+        # reported step error is the distance to it
+        for m in (0.3, 0.6, 0.9):
+            for theta in (0.5, THETA, 2.2):
+                res = uhlmann_phase(single_site_state(m), LoopSpec(theta=theta, steps=500))
+                error = abs(wrap_angle(res.phase - uhlmann_single_site_closed(m, theta)))
+                assert abs(res.convergence_estimate - error) <= 1e-12
+
     def test_exact_holonomy_oracle_pair(self):
         rho = model_pair(1.1, r=2)
         v_exact = exact_holonomy(rho, THETA)
@@ -444,6 +458,46 @@ class TestUhlmannPhase:
         res = uhlmann_phase(model_pair(1.5), LoopSpec(theta=THETA, steps=1000))
         assert res.convergence_estimate > 0
         assert res.steps == 1000
+
+    @pytest.mark.parametrize("steps", [16, 17, 500, 2000])
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("state", ["single", "pair"])
+    def test_convergence_estimate_is_error_against_exact_limit(self, state, lam, steps):
+        c = correlators(1, CouplingRatio(lam))
+        rho = single_site_state(c.m) if state == "single" else two_site_state(c)
+        res = uhlmann_phase(rho, LoopSpec(theta=THETA, steps=steps))
+        error = abs(wrap_angle(res.phase - exact_phase(rho, THETA)))
+        assert abs(res.convergence_estimate - error) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("state", ["single", "pair"])
+    def test_second_order_phase_convergence(self, state, lam):
+        c = correlators(1, CouplingRatio(lam))
+        rho = single_site_state(c.m) if state == "single" else two_site_state(c)
+        gamma_inf = exact_phase(rho, THETA)
+
+        def error(steps):
+            res = uhlmann_phase(rho, LoopSpec(theta=THETA, steps=steps))
+            return abs(wrap_angle(res.phase - gamma_inf))
+
+        for steps in (250, 500, 1000):
+            order = np.log2(error(steps) / error(2 * steps))
+            assert 1.8 <= order <= 2.2, (steps, order)
+
+    def test_one_finite_step_holonomy_per_phase(self, monkeypatch):
+        calls = []
+
+        def counting_holonomy(a0, steps):
+            calls.append(steps)
+            return holonomy(a0, steps)
+
+        holonomy = phases._holonomy_matrix
+        monkeypatch.setattr(phases, "_holonomy_matrix", counting_holonomy)
+        uhlmann_phase(model_pair(1.5), LoopSpec(theta=THETA, steps=500))
+        assert calls == [500]
+        calls.clear()
+        compute_phases(1.5, 1, THETA, kinds=("uhlmann",), loop_steps=64)
+        assert calls == [64, 64]
 
 
 def delta_gamma_u_at(lam, r, theta, steps, rank_eps=1e-8):

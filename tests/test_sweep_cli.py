@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from tfim_phases import ising, sweep
+from tfim_phases import cli, ising, sweep
 from tfim_phases.cli import main
 from tfim_phases.errors import UnphysicalStateError
 from tfim_phases.ising import CouplingRatio
@@ -190,6 +190,12 @@ class TestCsv:
         fields = path.read_text().strip().split("\n")[1].split(",")
         assert fields[3:11] == [""] * 8
         assert fields[13] == "rank_deficient"
+
+    def test_row_length_checked_against_header(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(CSV_HEADER + "\n0.5,1,1.0,,,,,,,,,0,1e-10\n")
+        with pytest.raises(ValueError, match="expected 14 fields, got 13"):
+            read_csv(path)
 
     def test_round_trip_bit_identical(self, tmp_path):
         config = small_config(lambda_steps=3, kinds=("interferometric", "uhlmann"))
@@ -435,6 +441,55 @@ class TestCli:
             assert main(argv) == 1
             assert capsys.readouterr().err.startswith("error: ")
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--kinds", "uhlmann"],
+        ["--kinds", "uhlmann", "--svg-y", "gamma_int_1site"],
+        ["--kinds", "interferometric", "--svg-y", "delta_gamma_u_unwrapped"],
+    ])
+    def test_sweep_rejects_svg_column_no_kind_fills(self, tmp_path, capsys, monkeypatch,
+                                                    flags):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out_csv, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+        argv = ["sweep", "--lam-min", "0.5", "--lam-max", "1", "--lam-steps", "3",
+                "--out", str(out_csv), "--svg", str(svg)] + flags
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --svg-y ")
+        assert captured.out == ""
+        assert not out_csv.exists() and not svg.exists()
+
+    def test_sweep_svg_column_of_requested_kind(self, tmp_path):
+        out_csv, svg = tmp_path / "u.csv", tmp_path / "u.svg"
+        assert main(["sweep", "--kinds", "uhlmann", "--lam-min", "0.5", "--lam-max", "1",
+                     "--lam-steps", "3", "--loop-steps", "64", "--out", str(out_csv),
+                     "--svg", str(svg), "--svg-y", "delta_gamma_u_unwrapped"]) == 0
+        ET.parse(svg)
+        # without --svg the default --svg-y column is not checked
+        assert main(["sweep", "--kinds", "uhlmann", "--lam-min", "0.5", "--lam-max", "0.5",
+                     "--lam-steps", "1", "--loop-steps", "64", "--out", str(out_csv)]) == 0
+
+    @pytest.mark.parametrize("raw", ["flase", "maybe", "on", ""])
+    def test_config_rejects_unknown_unwrap_value(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"unwrap = {raw}\nkinds = interferometric\nlambda_steps = 1\n")
+        out_csv = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unwrap" in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("raw,expected", [
+        ("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+        ("false", False), ("False", False), ("NO", False), ("0", False),
+    ])
+    def test_config_unwrap_values(self, tmp_path, raw, expected):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"unwrap = {raw}\n")
+        assert cli._config_from_file(cfg) == {"unwrap": expected}
 
     def test_sweep_command_with_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
