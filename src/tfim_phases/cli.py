@@ -136,6 +136,17 @@ def _config_from_file(path):
     return kwargs
 
 
+def _write_svg(records, path, column):
+    """SVG of column; with no value to draw (every row a status row) the
+    sweep still succeeds, so say so and write none."""
+    _, get = Y_COLUMNS[column]
+    if all(get(rec) is None for rec in records):
+        print(f"no records carry a value for {column!r}; SVG not written")
+        return
+    emit_svg(records, path, y_column=column)
+    print(f"wrote {path}")
+
+
 def _cmd_sweep(args):
     kwargs = _config_from_file(args.config) if args.config else {}
     for field in _SWEEP_FIELDS:
@@ -157,8 +168,7 @@ def _cmd_sweep(args):
     emit_csv(records, config.output_path, quad_tol=config.quad_tol)
     print(f"wrote {len(records)} rows to {config.output_path}")
     if args.svg:
-        emit_svg(records, args.svg, y_column=args.svg_y)
-        print(f"wrote {args.svg}")
+        _write_svg(records, args.svg, args.svg_y)
     n_bad = sum(1 for rec in records if rec.status != "ok")
     if n_bad:
         print(f"{n_bad} grid points carry error status (see the status column)")
@@ -175,9 +185,7 @@ def _cmd_preset(args):
     for column in ("delta_gamma_unwrapped", "delta_gamma_u_unwrapped"):
         kind, _ = Y_COLUMNS[column]
         if kind in config.kinds:
-            svg_path = os.path.join(args.out_dir, f"{args.name}_{column}.svg")
-            emit_svg(records, svg_path, y_column=column)
-            print(f"wrote {svg_path}")
+            _write_svg(records, os.path.join(args.out_dir, f"{args.name}_{column}.svg"), column)
     return 0
 
 

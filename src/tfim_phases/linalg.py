@@ -39,11 +39,8 @@ def hermitian_eigen(m):
         raise ValueError(f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
                          f"> {_HERMITICITY_TOL:.1e}")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    for k in range(v.shape[1]):
-        pivot = int(np.argmax(np.abs(v[:, k])))
-        phase = v[pivot, k] / abs(v[pivot, k])
-        v[:, k] = v[:, k] / phase
-    return HermitianEigen(w, v)
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return HermitianEigen(w, v / (pivots / np.abs(pivots)))
 
 
 def det_real(m):
@@ -56,18 +53,24 @@ def det_real(m):
     return float(np.linalg.det(m))
 
 
+def _dagger(m):
+    """Conjugate transpose of a matrix or of each matrix in a (..., d, d) stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def expm_antihermitian(a, s=1.0):
     """exp(A*s) for anti-Hermitian A, via the spectral form of the Hermitian iA.
 
+    A may be a (..., d, d) stack; the defect check covers the whole stack.
     The result is unitary to round-off by construction.
     """
     a = np.asarray(a, dtype=complex)
-    defect = float(np.abs(a + a.conj().T).max())
+    defect = float(np.abs(a + _dagger(a)).max())
     if defect > _ANTIHERMITICITY_TOL:
         raise ValueError(f"matrix is not anti-Hermitian: max|A + A^dag| = {defect:.3e} "
                          f"> {_ANTIHERMITICITY_TOL:.1e}")
-    w, v = np.linalg.eigh(1j * (a - a.conj().T) / 2)
-    return (v * np.exp(-1j * w * s)) @ v.conj().T
+    w, v = np.linalg.eigh(1j * (a - _dagger(a)) / 2)
+    return (v * np.exp(-1j * w * s)[..., None, :]) @ _dagger(v)
 
 
 def unitary_power(u, n):
@@ -77,9 +80,10 @@ def unitary_power(u, n):
     Hermitian (u - u^dag) / 2i, so that matrix's orthonormal eigenvectors Q
     diagonalize u.  Raising only the unit-modulus phases,
     Q e^{i n w} Q^dag, keeps the result unitary to round-off for every n;
-    repeated squaring lets the unitarity defect of u grow with n.
+    repeated squaring lets the unitarity defect of u grow with n.  u may be
+    a (..., d, d) stack.
     """
     u = np.asarray(u, dtype=complex)
-    _, q = np.linalg.eigh((u - u.conj().T) / 2j)
-    phases = np.angle(np.einsum("ji,jk,ki->i", q.conj(), u, q))
-    return (q * np.exp(1j * n * phases)) @ q.conj().T
+    _, q = np.linalg.eigh((u - _dagger(u)) / 2j)
+    phases = np.angle(np.einsum("...ji,...jk,...ki->...i", q.conj(), u, q))
+    return (q * np.exp(1j * n * phases)[..., None, :]) @ _dagger(q)

@@ -18,6 +18,11 @@ whose eigenvectors the loop carries to w = U(0) v:
   V_inf = e^{2 pi K} e^{2 pi (A(0) - K)}, the matrix at first order in the
   step and the phase at second order; the phase of V_inf gives the step error.
 
+Each kernel takes theta (the Uhlmann kernel as LoopSpec.theta) as a float
+or as a sequence, which it evaluates as one stack of loops from the one
+decomposition; a sequence gives a tuple of per-theta outcomes, each the
+result or that theta's VisibilityError.
+
 Both deviations delta_gamma and delta_gamma_u compare the two-site phase
 against twice the single-site phase, each computed with the same code path
 as its two-site counterpart, which keeps the deviations free of the spinor
@@ -41,6 +46,7 @@ from .ising import CouplingRatio, correlators
 from .linalg import expm_antihermitian, hermitian_eigen, unitary_power
 from .states import (
     LoopSpec,
+    generator_diagonal,
     loop_generator,
     loop_unitary,
     single_site_state,
@@ -79,27 +85,55 @@ def wrap_angle(x):
 # interferometric phase
 # ---------------------------------------------------------------------------
 
+def _is_sequence(theta):
+    return isinstance(theta, tuple) or np.ndim(theta) > 0
+
+
+def _per_theta(theta, outcomes):
+    """The outcomes of a theta sequence as a tuple; for a float theta its one
+    outcome, raised if it is an error."""
+    if _is_sequence(theta):
+        return tuple(outcomes)
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def _first_error(outcomes):
+    for x in outcomes:
+        if isinstance(x, Exception):
+            return x
+    return None
+
+
+def _phase_of(amplitude):
+    """arg(amplitude), or the VisibilityError of a vanishing amplitude."""
+    if abs(amplitude) < _VISIBILITY_EPS:
+        return VisibilityError(abs(amplitude), _VISIBILITY_EPS)
+    return float(np.angle(amplitude))
+
+
 def interferometric_phase_from_eigen(p, v, theta):
     """Interferometric phase from an explicit spectral decomposition.
 
     K is diagonal, so <w_n|e^{2 pi K}|w_n> and <w_n|K|w_n> are sums over its
-    diagonal weighted by |w_n|^2.
+    diagonal weighted by |w_n|^2.  A theta sequence is evaluated as one stack
+    and gives a tuple with one phase or VisibilityError per theta.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=complex)
     dim = v.shape[0]
-    weights = np.abs(loop_unitary(0.0, theta, dim) @ v) ** 2
-    k = np.diagonal(loop_generator(dim))
+    weights = np.abs(loop_unitary(0.0, np.atleast_1d(theta), dim) @ v) ** 2
+    k = generator_diagonal(dim)
     overlaps = np.exp(2 * np.pi * k) @ weights
     rates = k @ weights
-    amplitude = np.sum(p * overlaps * np.exp(-2 * np.pi * rates))
-    if abs(amplitude) < _VISIBILITY_EPS:
-        raise VisibilityError(abs(amplitude), _VISIBILITY_EPS)
-    return float(np.angle(amplitude))
+    amplitudes = np.sum(p * overlaps * np.exp(-2 * np.pi * rates), axis=-1)
+    return _per_theta(theta, [_phase_of(a) for a in amplitudes])
 
 
 def interferometric_phase(rho, theta):
-    """Interferometric phase of a 2x2 or 4x4 density matrix along the loop."""
+    """Interferometric phase of a 2x2 or 4x4 density matrix along the loop
+    (a tuple of outcomes for a theta sequence, as from the eigen form)."""
     eig = hermitian_eigen(rho)
     return interferometric_phase_from_eigen(eig.values, eig.vectors, theta)
 
@@ -127,14 +161,15 @@ def _loop_start(rho, theta, rank_eps):
     In the eigenbasis w = U(0) v of rho(0; theta), the commutator-form
     connection [[K, sqrt(rho)], sqrt(rho)] / (p_n + p_m) is
     K'_nm (sqrt p_m - sqrt p_n)^2 / (p_n + p_m), with K' = w^dag K w.
+    A 1-D theta gives both as (len(theta), dim, dim) stacks.
     """
     p, v = hermitian_eigen(rho)
     if p[0] < rank_eps:
         raise RankDeficientError(float(p[0]), rank_eps)
     dim = len(p)
     w = loop_unitary(0.0, theta, dim) @ v
-    w_dag = w.conj().T
-    k_eig = (w_dag * np.diagonal(loop_generator(dim))) @ w
+    w_dag = w.conj().swapaxes(-1, -2)
+    k_eig = (w_dag * generator_diagonal(dim)) @ w
     sqrt_p = np.sqrt(p)
     a_eig = k_eig * (sqrt_p[None, :] - sqrt_p[:, None]) ** 2 / (p[:, None] + p[None, :])
     return (w * p) @ w_dag, w @ a_eig @ w_dag
@@ -155,8 +190,9 @@ def _holonomy_matrix(a0, steps):
     product, not its steps -> inf limit.  Since ||K|| <= 1 and
     ||A(0)|| <= ||K||_F <= sqrt(2), the step factor's eigenphases lie within
     (1 + sqrt(2)) dphi < pi/2 of 0 for steps >= 16, as unitary_power requires.
+    A (..., d, d) stack of A(0) gives the stack of holonomies.
     """
-    dim = a0.shape[0]
+    dim = a0.shape[-1]
     dphi = 2 * np.pi / steps
     step = loop_unitary(-dphi, 0.0, dim) @ expm_antihermitian(a0, dphi)
     return loop_unitary(2 * np.pi, 0.0, dim) @ unitary_power(step, steps)
@@ -175,20 +211,26 @@ class UhlmannResult:
     steps: int
 
 
-def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult:
+def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult | tuple:
     """Phase gamma_N = arg Tr[rho(0; theta) V(2pi)] at N = loop.steps, with its
-    step error |gamma_N - gamma_inf| against the phase of the limit V_inf."""
-    base, a0 = _loop_start(rho, loop.theta, rank_eps)
-    k = loop_generator(len(a0))
-    v_inf = loop_unitary(2 * np.pi, 0.0, len(a0)) @ expm_antihermitian(a0 - k, 2 * np.pi)
-    angles = []
-    for v in (_holonomy_matrix(a0, loop.steps), v_inf):
-        t = np.trace(base @ v)
-        if abs(t) < _VISIBILITY_EPS:
-            raise VisibilityError(abs(t), _VISIBILITY_EPS)
-        angles.append(float(np.angle(t)))
-    gamma_n, gamma_inf = angles
-    return UhlmannResult(gamma_n, float(abs(wrap_angle(gamma_n - gamma_inf))), loop.steps)
+    step error |gamma_N - gamma_inf| against the phase of the limit V_inf.
+
+    A sequence loop.theta is evaluated as one stack, from one decomposition
+    of rho, and gives a tuple with one UhlmannResult or VisibilityError per
+    theta; the rank and anti-Hermiticity checks hold for the whole stack.
+    """
+    base, a0 = _loop_start(rho, np.atleast_1d(loop.theta), rank_eps)
+    dim = a0.shape[-1]
+    v_inf = loop_unitary(2 * np.pi, 0.0, dim) @ expm_antihermitian(
+        a0 - loop_generator(dim), 2 * np.pi)
+    traces = [np.trace(base @ v, axis1=-2, axis2=-1)
+              for v in (_holonomy_matrix(a0, loop.steps), v_inf)]
+    outcomes = []
+    for angles in zip(*([_phase_of(t) for t in ts] for ts in traces)):
+        gamma_n, gamma_inf = angles
+        outcomes.append(_first_error(angles) or UhlmannResult(
+            gamma_n, float(abs(wrap_angle(gamma_n - gamma_inf))), loop.steps))
+    return _per_theta(loop.theta, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -214,40 +256,60 @@ class PhaseRecord:
 
 
 def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
-                   quad_tol=CouplingRatio.quad_tol, rank_eps=RANK_EPS) -> PhaseRecord:
-    """Evaluate the requested phase kinds at one parameter point.
+                   quad_tol=CouplingRatio.quad_tol, rank_eps=RANK_EPS) -> PhaseRecord | tuple:
+    """Evaluate the requested phase kinds at one coupling point (lambda, r)
+    for a polar angle theta, or for a sequence of them as one stack.
 
-    Raises the underlying error (quadrature, rank, visibility, unphysical
-    state) instead of masking it; sweep drivers map errors to status rows.
-    kinds, theta, loop_steps and rank_eps are checked before any work, for
-    every kind.  Each requested kind decomposes each state once.
+    With a sequence, the result has one entry per theta: its PhaseRecord, or
+    the first error that theta met in the order of the kernel calls.
+    Visibility is checked per theta.  An error of the coupling point raises
+    before the kernels (quadrature, correlator bounds, unphysical state);
+    inside them (rank, Hermiticity) it is the entry of every theta without
+    an earlier error.  A float theta gives its one entry, raised if it is an
+    error; sweep drivers map errors to status rows.  kinds, theta, loop_steps
+    and rank_eps are checked before any work, for every kind.  Each
+    requested kind decomposes each state once.
     """
     if any(k not in KINDS for k in kinds):
         raise ValueError(f"kinds must be drawn from {KINDS}, got {tuple(kinds)}")
-    loop = LoopSpec(theta=theta, steps=loop_steps)
+    loop = LoopSpec(theta=tuple(theta) if _is_sequence(theta) else (theta,), steps=loop_steps)
     if not rank_eps > 0:
         raise ValueError(f"rank_eps must be > 0, got {rank_eps}")
     c = correlators(r, CouplingRatio(lam, quad_tol))
     pair = two_site_state(c)
     single = single_site_state(c.m)
-    fields = {}
 
-    if "interferometric" in kinds:
-        g_pair = interferometric_phase(pair, theta)
-        g_single = interferometric_phase(single, theta)
-        fields.update(gamma_int_pair=g_pair, gamma_int_single=g_single,
-                      delta_gamma=float(wrap_angle(g_pair - 2 * g_single)))
+    calls = []  # per kernel call, one outcome per theta
+    try:
+        if "interferometric" in kinds:
+            calls.append(interferometric_phase(pair, loop.theta))
+            calls.append(interferometric_phase(single, loop.theta))
+        if "uhlmann" in kinds:
+            try:
+                calls.append(uhlmann_phase(pair, loop, rank_eps))
+                calls.append(uhlmann_phase(single, loop, rank_eps))
+            except RankDeficientError as exc:
+                raise RankDeficientError(exc.min_eigenvalue, exc.rank_eps, lam=lam) from exc
+    except (RankDeficientError, ValueError, np.linalg.LinAlgError, ArithmeticError) as exc:
+        calls.append((exc,) * len(loop.theta))
 
-    if "uhlmann" in kinds:
-        try:
-            res_pair = uhlmann_phase(pair, loop, rank_eps)
-            res_single = uhlmann_phase(single, loop, rank_eps)
-        except RankDeficientError as exc:
-            raise RankDeficientError(exc.min_eigenvalue, exc.rank_eps, lam=lam) from exc
-        fields.update(gamma_u_pair=res_pair.phase, gamma_u_single=res_single.phase,
-                      delta_gamma_u=float(wrap_angle(res_pair.phase - 2 * res_single.phase)),
-                      steps_used=loop_steps,
-                      convergence_estimate=max(res_pair.convergence_estimate,
-                                               res_single.convergence_estimate))
-
-    return PhaseRecord(**fields)
+    outcomes = []
+    for row in zip(*calls):
+        error = _first_error(row)
+        if error:
+            outcomes.append(error)
+            continue
+        values, fields = iter(row), {}
+        if "interferometric" in kinds:
+            g_pair, g_single = next(values), next(values)
+            fields.update(gamma_int_pair=g_pair, gamma_int_single=g_single,
+                          delta_gamma=float(wrap_angle(g_pair - 2 * g_single)))
+        if "uhlmann" in kinds:
+            res_pair, res_single = next(values), next(values)
+            fields.update(gamma_u_pair=res_pair.phase, gamma_u_single=res_single.phase,
+                          delta_gamma_u=float(wrap_angle(res_pair.phase - 2 * res_single.phase)),
+                          steps_used=loop_steps,
+                          convergence_estimate=max(res_pair.convergence_estimate,
+                                                   res_single.convergence_estimate))
+        outcomes.append(PhaseRecord(**fields))
+    return _per_theta(theta, outcomes)

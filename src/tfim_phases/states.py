@@ -25,6 +25,7 @@ __all__ = [
     "LoopSpec",
     "single_site_state",
     "two_site_state",
+    "generator_diagonal",
     "loop_generator",
     "loop_unitary",
 ]
@@ -37,14 +38,17 @@ _PSD_FLOOR = -1e-10
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """Fixed polar angle theta and the number of azimuthal grid steps."""
+    """Fixed polar angle theta (or a tuple of them) and the number of
+    azimuthal grid steps."""
 
     theta: float
     steps: int = 2000
 
     def __post_init__(self):
-        if not 0 <= self.theta <= np.pi:
-            raise ValueError(f"theta must be in [0, pi], got {self.theta}")
+        thetas = self.theta if isinstance(self.theta, tuple) else (self.theta,)
+        bad = [t for t in thetas if not 0 <= t <= np.pi]
+        if bad or not thetas:
+            raise ValueError(f"theta must be in [0, pi], got {', '.join(map(str, bad)) or 'none'}")
         if self.steps < MIN_LOOP_STEPS:
             raise ValueError(f"steps must be >= {MIN_LOOP_STEPS}, got {self.steps}")
 
@@ -74,23 +78,30 @@ def two_site_state(c: Correlators) -> np.ndarray:
     return rho
 
 
-def loop_generator(dim: int) -> np.ndarray:
-    """K = (dU/dphi) U^dag: i Z/2 on one site, i (Z x I + I x Z)/2 on the pair."""
+def generator_diagonal(dim: int) -> np.ndarray:
+    """The diagonal of the loop generator K, without building K."""
     if dim == 2:
-        return np.diag([0.5j, -0.5j])
+        return np.array([0.5j, -0.5j])
     if dim == 4:
-        return np.diag([1j, 0.0, 0.0, -1j])
+        return np.array([1j, 0.0, 0.0, -1j])
     raise ValueError(f"dim must be 2 or 4, got {dim}")
 
 
-def loop_unitary(phi: float, theta: float, dim: int) -> np.ndarray:
+def loop_generator(dim: int) -> np.ndarray:
+    """K = (dU/dphi) U^dag: i Z/2 on one site, i (Z x I + I x Z)/2 on the pair."""
+    return np.diag(generator_diagonal(dim))
+
+
+def loop_unitary(phi: float, theta, dim: int) -> np.ndarray:
     """U(phi) = e^{K phi} U(0), U(0) = R_y(theta) on each of the dim // 2 sites.
 
     K is diagonal, so e^{K phi} is one exponential of its diagonal;
-    ``loop_unitary(phi, 0.0, dim)`` is e^{K phi} alone.
+    ``loop_unitary(phi, 0.0, dim)`` is e^{K phi} alone.  A 1-D theta gives
+    the (len(theta), dim, dim) stack of these unitaries.
     """
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    ry = np.array([[c, -s], [s, c]], dtype=complex)
+    half = np.asarray(theta) / 2
+    c, s = np.cos(half), np.sin(half)
+    ry = np.array([c, -s, s, c], dtype=complex).T.reshape(*half.shape, 2, 2)
     if dim == 4:
-        ry = (ry[:, None, :, None] * ry[None, :, None, :]).reshape(4, 4)
-    return np.exp(np.diagonal(loop_generator(dim)) * phi)[:, None] * ry
+        ry = (ry[..., :, None, :, None] * ry[..., None, :, None, :]).reshape(*half.shape, 4, 4)
+    return np.exp(generator_diagonal(dim) * phi)[:, None] * ry

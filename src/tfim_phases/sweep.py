@@ -1,4 +1,8 @@
-"""Parameter sweeps over (lambda, r, theta) with CSV and SVG output."""
+"""Parameter sweeps over (lambda, r, theta) with CSV and SVG output.
+
+The unit of evaluation is a coupling point (lambda, r): one
+``compute_phases`` call evaluates all of the sweep's theta values there.
+"""
 
 from __future__ import annotations
 
@@ -97,23 +101,35 @@ class SweepRecord:
     delta_gamma_u_unwrapped: float | None = None
 
 
-def _evaluate_point(config, point):
-    """One (lambda, r, theta) grid point; an error there becomes its status."""
-    lam, r, theta = point
+# Status of a row by the error it met; the first matching entry wins.
+_STATUSES = {
+    RankDeficientError: "rank_deficient",
+    VisibilityError: "vanishing_visibility",
+    UnphysicalStateError: "unphysical_state",
+    ValueError: "numerical_error",
+    np.linalg.LinAlgError: "numerical_error",
+    ArithmeticError: "numerical_error",
+}
+
+
+def _evaluate_coupling(config, coupling):
+    """The rows of one (lambda, r) coupling point, one per sorted theta; an
+    error becomes the status of each row it reached."""
+    lam, r = coupling
+    thetas = tuple(sorted(config.theta_list))
     try:
-        return SweepRecord(lam, r, theta, compute_phases(
-            lam, r, theta, kinds=config.kinds, loop_steps=config.loop_steps,
+        outcomes = compute_phases(
+            lam, r, thetas, kinds=config.kinds, loop_steps=config.loop_steps,
             quad_tol=config.quad_tol, rank_eps=config.rank_eps,
-        ))
-    except RankDeficientError:
-        status = "rank_deficient"
-    except VisibilityError:
-        status = "vanishing_visibility"
-    except UnphysicalStateError:
-        status = "unphysical_state"
-    except (ValueError, np.linalg.LinAlgError, ArithmeticError):
-        status = "numerical_error"
-    return SweepRecord(lam, r, theta, status=status)
+        )
+    except tuple(_STATUSES) as exc:
+        outcomes = [exc] * len(thetas)
+    return [
+        SweepRecord(lam, r, float(theta), out) if isinstance(out, PhaseRecord) else
+        SweepRecord(lam, r, float(theta),
+                    status=next(s for error, s in _STATUSES.items() if isinstance(out, error)))
+        for theta, out in zip(thetas, outcomes)
+    ]
 
 
 def _unwrap_family(records, attr, target):
@@ -129,28 +145,28 @@ def _unwrap_family(records, attr, target):
 def run_sweep(config: SweepConfig, workers: int = 1):
     """Evaluate every grid point; failures become status rows, not aborts.
 
-    Records come in (theta, r, lambda) ascending order, independent of the
-    worker count (>= 1; more than 1 runs a process pool, with at most one
-    worker per grid point).  lambda runs fastest, so each (theta, r) family
-    is one run of lambda_steps records, and each family's deviations are
-    unwrapped along lambda on their own, also when r_list or theta_list
-    repeats a value.
+    The unit of work is a coupling point (lambda, r): one compute_phases
+    call evaluates it for the whole sorted theta_list, so each state is built
+    and decomposed once for all its theta rows.  Records come in
+    (theta, r, lambda) ascending order, independent of the worker count
+    (>= 1; more than 1 runs a process pool, with at most one worker per
+    coupling point).  lambda runs fastest, so each (theta, r) family is one
+    run of lambda_steps records, and each family's deviations are unwrapped
+    along lambda on their own, also when r_list or theta_list repeats a value.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    grid = [
-        (float(lam), int(r), float(theta))
-        for theta in sorted(config.theta_list)
-        for r in sorted(config.r_list)
-        for lam in config.lambda_grid()
-    ]
-    evaluate = functools.partial(_evaluate_point, config)
+    couplings = [(float(lam), int(r)) for r in sorted(config.r_list)
+                 for lam in config.lambda_grid()]
+    evaluate = functools.partial(_evaluate_coupling, config)
     if workers > 1:
-        # the pool forks all of its workers up front: no more than there are points
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(grid))) as pool:
-            records = list(pool.map(evaluate, grid, chunksize=4))
+        # the pool forks all of its workers up front: no more than there are couplings
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(couplings))) as pool:
+            rows = list(pool.map(evaluate, couplings, chunksize=4))
     else:
-        records = list(map(evaluate, grid))
+        rows = list(map(evaluate, couplings))
+    records = [rec for theta_rows in zip(*rows) for rec in theta_rows]
 
     if not config.unwrap:
         for x in records:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tfim_phases.ising import CouplingRatio, correlators
 from tfim_phases.linalg import (
     SIGMA_Z,
     det_real,
@@ -8,6 +9,7 @@ from tfim_phases.linalg import (
     hermitian_eigen,
     unitary_power,
 )
+from tfim_phases.states import single_site_state, two_site_state
 
 # test-only kernels, defined beside the oracles that use them
 from test_phases import commutator, sqrt_psd
@@ -64,6 +66,34 @@ class TestHermitianEigen:
             pivot = np.argmax(np.abs(v1[:, k]))
             assert v1[pivot, k].imag == pytest.approx(0.0, abs=1e-14)
             assert v1[pivot, k].real > 0
+
+    def test_rephasing_matches_column_loop(self):
+        # The reference rephases one column at a time.  The package's states
+        # have real pivots, so both forms divide by +-1 and agree bitwise.  A
+        # complex pivot's phase is rounded differently by numpy's scalar and
+        # array complex divisions, within a few units in the last place.
+        def column_loop(m):
+            w, v = np.linalg.eigh((m + m.conj().T) / 2)
+            for k in range(v.shape[1]):
+                pivot = int(np.argmax(np.abs(v[:, k])))
+                v[:, k] = v[:, k] / (v[pivot, k] / abs(v[pivot, k]))
+            return w, v
+
+        states = [single_site_state(m) for m in (-0.4, 0.0, 0.3, 1.0)]
+        states += [two_site_state(correlators(r, CouplingRatio(lam)))
+                   for r in (1, 10) for lam in (0.05, 0.5, 1.0, 1.5, 2.0)]
+        for rho in states:
+            w, v = column_loop(rho)
+            eig = hermitian_eigen(rho)
+            assert np.array_equal(eig.values, w) and np.array_equal(eig.vectors, v)
+        rng = np.random.default_rng(11)
+        for dim in (2, 4):
+            for _ in range(50):
+                m = random_hermitian(rng, dim)
+                w, v = column_loop(m)
+                eig = hermitian_eigen(m)
+                assert np.array_equal(eig.values, w)
+                assert np.abs(eig.vectors - v).max() <= 4 * np.finfo(float).eps
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -146,6 +176,20 @@ class TestExpmAntihermitian:
         with pytest.raises(ValueError, match="anti-Hermitian"):
             expm_antihermitian(SIGMA_Z)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_stack_equals_matrix_calls(self, dim):
+        rng = np.random.default_rng(dim)
+        stack = np.array([random_antihermitian(rng, dim) for _ in range(3)])
+        got = expm_antihermitian(stack, 0.7)
+        assert got.shape == (3, dim, dim)
+        for a, u in zip(stack, got):
+            assert np.array_equal(u, expm_antihermitian(a, 0.7))
+
+    def test_defect_anywhere_in_stack_rejected(self):
+        stack = np.array([1j * SIGMA_Z, SIGMA_Z])
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            expm_antihermitian(stack)
+
 
 class TestUnitaryPower:
     def test_matches_repeated_product(self):
@@ -167,6 +211,16 @@ class TestUnitaryPower:
         u = expm_antihermitian(random_antihermitian(rng, 4), 0.1)
         v = unitary_power(u, 10**6)
         assert np.abs(v.conj().T @ v - np.eye(4)).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_stack_equals_matrix_calls(self, dim):
+        rng = np.random.default_rng(dim)
+        stack = expm_antihermitian(np.array([random_antihermitian(rng, dim) for _ in range(3)]),
+                                   0.1)
+        got = unitary_power(stack, 2000)
+        assert got.shape == (3, dim, dim)
+        for u, v in zip(stack, got):
+            assert np.array_equal(v, unitary_power(u, 2000))
 
 
 class TestCommutator:

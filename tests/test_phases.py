@@ -8,6 +8,7 @@ from tfim_phases.ising import CouplingRatio, correlators
 from tfim_phases.linalg import IDENTITY_2, SIGMA_Z, hermitian_eigen
 from tfim_phases.phases import (
     _VISIBILITY_EPS,
+    KINDS,
     compute_phases,
     interferometric_phase,
     interferometric_phase_from_eigen,
@@ -590,3 +591,80 @@ class TestComputePhases:
                      "gamma_u_pair", "gamma_u_single", "delta_gamma_u"):
             val = getattr(rec, name)
             assert -np.pi < val <= np.pi
+
+
+STACK_THETAS = (0.0, np.pi / 12, np.pi / 3, np.pi / 2, np.pi)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (RankDeficientError, VisibilityError) as exc:
+        return exc
+
+
+def same_outcome(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return a == b
+
+
+def pair_or_single(state, lam):
+    c = correlators(1, CouplingRatio(lam))
+    return two_site_state(c) if state == "pair" else single_site_state(c.m)
+
+
+class TestThetaStacks:
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("state", ["single", "pair"])
+    def test_interferometric_stack_equals_float_calls(self, state, lam):
+        rho = pair_or_single(state, lam)
+        stacked = interferometric_phase(rho, STACK_THETAS)
+        assert len(stacked) == len(STACK_THETAS)
+        for theta, got in zip(STACK_THETAS, stacked):
+            assert same_outcome(got, outcome(interferometric_phase, rho, theta))
+
+    @pytest.mark.parametrize("steps", [16, 17, 2000])
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("state", ["single", "pair"])
+    def test_uhlmann_stack_equals_float_calls(self, state, lam, steps):
+        rho = pair_or_single(state, lam)
+        stacked = uhlmann_phase(rho, LoopSpec(theta=STACK_THETAS, steps=steps))
+        assert len(stacked) == len(STACK_THETAS)
+        for theta, got in zip(STACK_THETAS, stacked):
+            expected = outcome(uhlmann_phase, rho, LoopSpec(theta=theta, steps=steps))
+            assert same_outcome(got, expected)
+
+    @pytest.mark.parametrize("lam,r,kinds,thetas,eps,rank_eps,statuses", [
+        (1.5, 1, KINDS, STACK_THETAS, _VISIBILITY_EPS, 1e-8, ["ok"] * 5),
+        (0.5, 10, KINDS, STACK_THETAS, _VISIBILITY_EPS, 1e-8, ["ok"] * 5),
+        # rank deficient: every theta
+        (0.01, 1, KINDS, STACK_THETAS, _VISIBILITY_EPS, 1e-8, [RankDeficientError] * 5),
+        # the pair's Uhlmann trace is 0.04 at pi/2 and 0.74 at pi/3 and 2pi/3
+        (0.5, 1, ("uhlmann",), (np.pi / 3, np.pi / 2, 2 * np.pi / 3), 0.1, 1e-8,
+         ["ok", VisibilityError, "ok"]),
+        # the pair's interferometric amplitude is 0.20 at pi/6 and 0.60 at
+        # pi/3 (the single site's 0.36): that theta's vanishing visibility
+        # comes before the rank deficiency of the coupling point
+        (1.5, 1, KINDS, (np.pi / 6, np.pi / 3, np.pi / 2), 0.3, 0.5,
+         [VisibilityError, RankDeficientError, RankDeficientError]),
+    ])
+    def test_compute_phases_sequence_equals_float_calls(self, monkeypatch, lam, r, kinds,
+                                                        thetas, eps, rank_eps, statuses):
+        monkeypatch.setattr(phases, "_VISIBILITY_EPS", eps)
+        options = dict(kinds=kinds, loop_steps=64, rank_eps=rank_eps)
+        stacked = compute_phases(lam, r, thetas, **options)
+        assert isinstance(stacked, tuple) and len(stacked) == len(thetas)
+        for theta, got, status in zip(thetas, stacked, statuses):
+            assert same_outcome(got, outcome(compute_phases, lam, r, theta, **options))
+            if status == "ok":
+                values = [v for v in vars(got).values() if isinstance(v, float)]
+                assert values and all(np.isfinite(values))
+            else:
+                assert type(got) is status
+
+    def test_zero_dimensional_theta_is_a_float(self):
+        expected = compute_phases(1.5, 1, THETA, loop_steps=64)
+        assert compute_phases(1.5, 1, np.array(THETA), loop_steps=64) == expected
+        assert compute_phases(1.5, 1, np.array([THETA]), loop_steps=64) == (expected,)

@@ -148,6 +148,15 @@ class TestRotations:
             u = loop_unitary(phi, theta, 4)
             assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-14
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_theta_stack_equals_float_calls(self, dim):
+        thetas = (0.0, np.pi / 12, 1.0, np.pi)
+        for phi in (0.0, -0.3, 2 * np.pi):
+            stack = loop_unitary(phi, np.array(thetas), dim)
+            assert stack.shape == (len(thetas), dim, dim)
+            for theta, u in zip(thetas, stack):
+                assert np.array_equal(u, loop_unitary(phi, theta, dim))
+
 
 class TestEvolve:
     def test_maximally_mixed_invariant(self):
@@ -205,3 +214,9 @@ class TestLoopSpec:
             LoopSpec(theta=-0.1)
         with pytest.raises(ValueError):
             LoopSpec(theta=3.5)
+
+    def test_theta_sequence(self):
+        assert LoopSpec(theta=(0.0, np.pi)).theta == (0.0, np.pi)
+        for bad in ((0.1, 3.5), (-0.1, 0.2), (), (0.1, float("nan"))):
+            with pytest.raises(ValueError, match="theta"):
+                LoopSpec(theta=bad)

@@ -5,9 +5,9 @@ import pytest
 
 from tfim_phases import cli, ising, sweep
 from tfim_phases.cli import main
-from tfim_phases.errors import UnphysicalStateError
+from tfim_phases.errors import RankDeficientError, UnphysicalStateError
 from tfim_phases.ising import CouplingRatio
-from tfim_phases.phases import PhaseRecord
+from tfim_phases.phases import PhaseRecord, compute_phases
 from tfim_phases.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -69,12 +69,12 @@ class TestRunSweep:
                   UnphysicalStateError("not PSD")]
         statuses = ["numerical_error"] * 4 + ["unphysical_state"]
 
-        def compute_phases(lam, *args, **kwargs):
+        def compute_phases(lam, r, theta, **kwargs):
             index = round(lam * 10) - 1
             if index % 2:
                 raise raised[index // 2]
-            return PhaseRecord(gamma_int_pair=0.1, gamma_int_single=0.05,
-                               delta_gamma=0.0)
+            return tuple(PhaseRecord(gamma_int_pair=0.1, gamma_int_single=0.05,
+                                     delta_gamma=0.0) for _ in theta)
 
         monkeypatch.setattr(sweep, "compute_phases", compute_phases)
         config = small_config(lambda_min=0.1, lambda_max=1.1, lambda_steps=11)
@@ -134,6 +134,43 @@ class TestRunSweep:
             assert run_sweep(config, workers=workers) == run_sweep(config, workers=1)
             assert sizes[-1] == expected
         assert len(sizes) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_coupling_rows_equal_float_theta_points(self, workers):
+        # lambda = 0.01 is rank deficient for the Uhlmann kind
+        config = small_config(lambda_min=0.01, lambda_max=1.5, lambda_steps=3,
+                              r_list=(2, 1), theta_list=(np.pi / 3, np.pi / 12),
+                              kinds=("interferometric", "uhlmann"))
+        expected = []
+        for theta in sorted(config.theta_list):
+            for r in sorted(config.r_list):
+                for lam in config.lambda_grid():
+                    try:
+                        expected.append(SweepRecord(float(lam), r, theta, compute_phases(
+                            lam, r, theta, kinds=config.kinds, loop_steps=config.loop_steps)))
+                    except RankDeficientError:
+                        expected.append(SweepRecord(float(lam), r, theta, status="rank_deficient"))
+        for i in range(0, len(expected), config.lambda_steps):
+            family = expected[i:i + config.lambda_steps]
+            _unwrap_family(family, "delta_gamma", "delta_gamma_unwrapped")
+            _unwrap_family(family, "delta_gamma_u", "delta_gamma_u_unwrapped")
+        records = run_sweep(config, workers=workers)
+        assert [x.status for x in records] == ["rank_deficient", "ok", "ok"] * 4
+        assert records == expected
+
+    def test_one_compute_phases_call_per_coupling(self, monkeypatch):
+        calls = []
+
+        def counting_compute_phases(lam, r, theta, **kwargs):
+            calls.append((lam, r, tuple(theta)))
+            return compute_phases(lam, r, theta, **kwargs)
+
+        monkeypatch.setattr(sweep, "compute_phases", counting_compute_phases)
+        config = small_config(r_list=(10, 1), theta_list=(np.pi / 4, 0.0, np.pi / 12))
+        records = run_sweep(config)
+        assert len(records) == 3 * 2 * 3
+        assert calls == [(lam, r, (0.0, np.pi / 12, np.pi / 4))
+                         for r in (1, 10) for lam in config.lambda_grid()]
 
     def test_unwrap_disabled_copies_principal(self):
         config = small_config(unwrap=False)
@@ -461,6 +498,31 @@ class TestCli:
         assert captured.err.startswith("error: --svg-y ")
         assert captured.out == ""
         assert not out_csv.exists() and not svg.exists()
+
+    def test_sweep_all_status_rows_writes_csv_and_no_svg(self, tmp_path, capsys):
+        out_csv, svg = tmp_path / "w.csv", tmp_path / "w.svg"
+        assert main(["sweep", "--kinds", "uhlmann", "--lam-min", "0.001", "--lam-max", "0.01",
+                     "--lam-steps", "2", "--loop-steps", "64", "--out", str(out_csv),
+                     "--svg", str(svg), "--svg-y", "delta_gamma_u_unwrapped"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"wrote 2 rows to {out_csv}" in captured.out
+        assert ("no records carry a value for 'delta_gamma_u_unwrapped'; SVG not written"
+                in captured.out)
+        assert [x.status for x in read_csv(out_csv)[0]] == ["rank_deficient"] * 2
+        assert not svg.exists()
+
+    def test_preset_all_status_rows_writes_csv_and_no_svg(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def status_rows(config, workers=1):
+            return [SweepRecord(0.05, 1, np.pi / 3, status="rank_deficient")]
+
+        monkeypatch.setattr(cli, "run_sweep", status_rows)
+        assert main(["preset", "fig2", "--out-dir", str(tmp_path)]) == 0
+        assert ("no records carry a value for 'delta_gamma_u_unwrapped'; SVG not written"
+                in capsys.readouterr().out)
+        assert (tmp_path / "fig2.csv").exists()
+        assert not (tmp_path / "fig2_delta_gamma_u_unwrapped.svg").exists()
 
     def test_sweep_svg_column_of_requested_kind(self, tmp_path):
         out_csv, svg = tmp_path / "u.csv", tmp_path / "u.svg"
