@@ -57,6 +57,7 @@ exact-diagonalization oracle in the test suite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,15 @@ _OUTWARD_LOG_GROWTH = 6.0
 # Miller's algorithm starts this many e-folds of lam^2 beyond the range, so
 # its starting error is below double-precision round-off (e^-37 ~ 1e-16).
 _MILLER_LOG_DECAY = 37.0
+
+
+def require_integer(name, value):
+    """Raise ValueError naming the field unless value is an integer, that is,
+    unless operator.index accepts it (so 2.0 and "2" are refused)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -246,6 +256,7 @@ def correlators(r: int, params: CouplingRatio) -> Correlators:
     c_xx and c_yy are the determinants of the r x r Toeplitz matrices with
     entry (i, j) = G_{j-i-1} and G_{i-j+1}; c_zz = m^2 - G_r G_{-r}.
     """
+    require_integer("r", r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     g = _elements(r, params)

@@ -20,8 +20,9 @@ whose eigenvectors the loop carries to w = U(0) v:
 
 Each kernel takes theta (the Uhlmann kernel as LoopSpec.theta) as a float
 or as a sequence, which it evaluates as one stack of loops from the one
-decomposition; a sequence gives a tuple of per-theta outcomes, each the
-result or that theta's VisibilityError.
+decomposition; a sequence gives a tuple of per-theta values.  Every
+failure is raised, for a stack as for a float: a VisibilityError if any
+theta's amplitude or trace vanishes, naming the smallest magnitude.
 
 Both deviations delta_gamma and delta_gamma_u compare the two-site phase
 against twice the single-site phase, each computed with the same code path
@@ -89,28 +90,13 @@ def _is_sequence(theta):
     return isinstance(theta, tuple) or np.ndim(theta) > 0
 
 
-def _per_theta(theta, outcomes):
-    """The outcomes of a theta sequence as a tuple; for a float theta its one
-    outcome, raised if it is an error."""
-    if _is_sequence(theta):
-        return tuple(outcomes)
-    if isinstance(outcomes[0], Exception):
-        raise outcomes[0]
-    return outcomes[0]
-
-
-def _first_error(outcomes):
-    for x in outcomes:
-        if isinstance(x, Exception):
-            return x
-    return None
-
-
-def _phase_of(amplitude):
-    """arg(amplitude), or the VisibilityError of a vanishing amplitude."""
-    if abs(amplitude) < _VISIBILITY_EPS:
-        return VisibilityError(abs(amplitude), _VISIBILITY_EPS)
-    return float(np.angle(amplitude))
+def _phases(amplitudes):
+    """arg of each amplitude of a stack; raises the VisibilityError of the
+    smallest magnitude if any is below _VISIBILITY_EPS."""
+    vanishing = [x for x in np.abs(amplitudes).tolist() if x < _VISIBILITY_EPS]
+    if vanishing:
+        raise VisibilityError(min(vanishing), _VISIBILITY_EPS)
+    return np.angle(amplitudes)
 
 
 def interferometric_phase_from_eigen(p, v, theta):
@@ -118,7 +104,8 @@ def interferometric_phase_from_eigen(p, v, theta):
 
     K is diagonal, so <w_n|e^{2 pi K}|w_n> and <w_n|K|w_n> are sums over its
     diagonal weighted by |w_n|^2.  A theta sequence is evaluated as one stack
-    and gives a tuple with one phase or VisibilityError per theta.
+    and gives a tuple with one phase per theta; if any theta's amplitude
+    vanishes, the VisibilityError names the smallest.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=complex)
@@ -127,13 +114,13 @@ def interferometric_phase_from_eigen(p, v, theta):
     k = generator_diagonal(dim)
     overlaps = np.exp(2 * np.pi * k) @ weights
     rates = k @ weights
-    amplitudes = np.sum(p * overlaps * np.exp(-2 * np.pi * rates), axis=-1)
-    return _per_theta(theta, [_phase_of(a) for a in amplitudes])
+    gammas = _phases(np.sum(p * overlaps * np.exp(-2 * np.pi * rates), axis=-1)).tolist()
+    return tuple(gammas) if _is_sequence(theta) else gammas[0]
 
 
 def interferometric_phase(rho, theta):
     """Interferometric phase of a 2x2 or 4x4 density matrix along the loop
-    (a tuple of outcomes for a theta sequence, as from the eigen form)."""
+    (a tuple of phases for a theta sequence, as from the eigen form)."""
     eig = hermitian_eigen(rho)
     return interferometric_phase_from_eigen(eig.values, eig.vectors, theta)
 
@@ -216,21 +203,21 @@ def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult | tup
     step error |gamma_N - gamma_inf| against the phase of the limit V_inf.
 
     A sequence loop.theta is evaluated as one stack, from one decomposition
-    of rho, and gives a tuple with one UhlmannResult or VisibilityError per
-    theta; the rank and anti-Hermiticity checks hold for the whole stack.
+    of rho, and gives a tuple with one UhlmannResult per theta; the rank,
+    anti-Hermiticity and visibility checks hold for the whole stack, and a
+    VisibilityError names the smallest trace of the first of V(2pi) and
+    V_inf that vanishes.
     """
     base, a0 = _loop_start(rho, np.atleast_1d(loop.theta), rank_eps)
     dim = a0.shape[-1]
     v_inf = loop_unitary(2 * np.pi, 0.0, dim) @ expm_antihermitian(
         a0 - loop_generator(dim), 2 * np.pi)
-    traces = [np.trace(base @ v, axis1=-2, axis2=-1)
-              for v in (_holonomy_matrix(a0, loop.steps), v_inf)]
-    outcomes = []
-    for angles in zip(*([_phase_of(t) for t in ts] for ts in traces)):
-        gamma_n, gamma_inf = angles
-        outcomes.append(_first_error(angles) or UhlmannResult(
-            gamma_n, float(abs(wrap_angle(gamma_n - gamma_inf))), loop.steps))
-    return _per_theta(loop.theta, outcomes)
+    gamma_n, gamma_inf = (_phases(np.trace(base @ v, axis1=-2, axis2=-1))
+                          for v in (_holonomy_matrix(a0, loop.steps), v_inf))
+    step_errors = np.abs(wrap_angle(gamma_n - gamma_inf))
+    results = [UhlmannResult(g, e, loop.steps)
+               for g, e in zip(gamma_n.tolist(), step_errors.tolist())]
+    return tuple(results) if _is_sequence(loop.theta) else results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +247,15 @@ def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
     """Evaluate the requested phase kinds at one coupling point (lambda, r)
     for a polar angle theta, or for a sequence of them as one stack.
 
-    With a sequence, the result has one entry per theta: its PhaseRecord, or
-    the first error that theta met in the order of the kernel calls.
-    Visibility is checked per theta.  An error of the coupling point raises
-    before the kernels (quadrature, correlator bounds, unphysical state);
-    inside them (rank, Hermiticity) it is the entry of every theta without
-    an earlier error.  A float theta gives its one entry, raised if it is an
-    error; sweep drivers map errors to status rows.  kinds, theta, loop_steps
-    and rank_eps are checked before any work, for every kind.  Each
-    requested kind decomposes each state once.
+    With a sequence, the result is a tuple with one PhaseRecord per theta,
+    whose fields are computed as arrays across the stack.  Every error is
+    raised, the first met in the order of the kernel calls: those of the
+    coupling point (quadrature, correlator bounds, unphysical state) before
+    the kernels, then those of each kernel (rank, Hermiticity, and a
+    vanishing visibility, which belongs to one theta of a stack); sweep
+    drivers map errors to status rows.  A float theta gives one PhaseRecord.
+    kinds, theta, loop_steps and rank_eps are checked before any work, for
+    every kind.  Each requested kind decomposes each state once.
     """
     if any(k not in KINDS for k in kinds):
         raise ValueError(f"kinds must be drawn from {KINDS}, got {tuple(kinds)}")
@@ -279,37 +266,23 @@ def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
     pair = two_site_state(c)
     single = single_site_state(c.m)
 
-    calls = []  # per kernel call, one outcome per theta
-    try:
-        if "interferometric" in kinds:
-            calls.append(interferometric_phase(pair, loop.theta))
-            calls.append(interferometric_phase(single, loop.theta))
-        if "uhlmann" in kinds:
-            try:
-                calls.append(uhlmann_phase(pair, loop, rank_eps))
-                calls.append(uhlmann_phase(single, loop, rank_eps))
-            except RankDeficientError as exc:
-                raise RankDeficientError(exc.min_eigenvalue, exc.rank_eps, lam=lam) from exc
-    except (RankDeficientError, ValueError, np.linalg.LinAlgError, ArithmeticError) as exc:
-        calls.append((exc,) * len(loop.theta))
-
-    outcomes = []
-    for row in zip(*calls):
-        error = _first_error(row)
-        if error:
-            outcomes.append(error)
-            continue
-        values, fields = iter(row), {}
-        if "interferometric" in kinds:
-            g_pair, g_single = next(values), next(values)
-            fields.update(gamma_int_pair=g_pair, gamma_int_single=g_single,
-                          delta_gamma=float(wrap_angle(g_pair - 2 * g_single)))
-        if "uhlmann" in kinds:
-            res_pair, res_single = next(values), next(values)
-            fields.update(gamma_u_pair=res_pair.phase, gamma_u_single=res_single.phase,
-                          delta_gamma_u=float(wrap_angle(res_pair.phase - 2 * res_single.phase)),
-                          steps_used=loop_steps,
-                          convergence_estimate=max(res_pair.convergence_estimate,
-                                                   res_single.convergence_estimate))
-        outcomes.append(PhaseRecord(**fields))
-    return _per_theta(theta, outcomes)
+    columns, steps_used = {}, 0  # PhaseRecord fields, one entry per theta
+    if "interferometric" in kinds:
+        g_pair = np.array(interferometric_phase(pair, loop.theta))
+        g_single = np.array(interferometric_phase(single, loop.theta))
+        columns.update(gamma_int_pair=g_pair, gamma_int_single=g_single,
+                       delta_gamma=wrap_angle(g_pair - 2 * g_single))
+    if "uhlmann" in kinds:
+        try:
+            results = uhlmann_phase(pair, loop, rank_eps), uhlmann_phase(single, loop, rank_eps)
+        except RankDeficientError as exc:
+            raise RankDeficientError(exc.min_eigenvalue, exc.rank_eps, lam=lam) from exc
+        u_pair, u_single = (np.array([x.phase for x in res]) for res in results)
+        step_error = np.maximum(*([x.convergence_estimate for x in res] for res in results))
+        columns.update(gamma_u_pair=u_pair, gamma_u_single=u_single,
+                       delta_gamma_u=wrap_angle(u_pair - 2 * u_single),
+                       convergence_estimate=step_error)
+        steps_used = loop_steps
+    records = tuple(PhaseRecord(**dict(zip(columns, row)), steps_used=steps_used)
+                    for row in zip(*(col.tolist() for col in columns.values())))
+    return records if _is_sequence(theta) else records[0]

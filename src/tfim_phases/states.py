@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalStateError
-from .ising import BOUND_SLACK, Correlators
+from .ising import BOUND_SLACK, Correlators, require_integer
 from .linalg import IDENTITY_2, SIGMA_Z
 
 __all__ = [
@@ -49,6 +49,7 @@ class LoopSpec:
         bad = [t for t in thetas if not 0 <= t <= np.pi]
         if bad or not thetas:
             raise ValueError(f"theta must be in [0, pi], got {', '.join(map(str, bad)) or 'none'}")
+        require_integer("steps", self.steps)
         if self.steps < MIN_LOOP_STEPS:
             raise ValueError(f"steps must be >= {MIN_LOOP_STEPS}, got {self.steps}")
 

@@ -1,7 +1,8 @@
 """Parameter sweeps over (lambda, r, theta) with CSV and SVG output.
 
 The unit of evaluation is a coupling point (lambda, r): one
-``compute_phases`` call evaluates all of the sweep's theta values there.
+``compute_phases`` call evaluates all of the sweep's theta values there
+(and each theta again on its own if a visibility vanishes).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import RankDeficientError, UnphysicalStateError, VisibilityError
-from .ising import MAX_SEPARATION, CouplingRatio
+from .ising import MAX_SEPARATION, CouplingRatio, require_integer
 from .phases import KINDS, RANK_EPS, PhaseRecord, compute_phases
 from .states import MIN_LOOP_STEPS, LoopSpec
 
@@ -66,8 +67,11 @@ class SweepConfig:
             raise ValueError(f"lambda_max must be finite, got {self.lambda_max}")
         if self.lambda_max < self.lambda_min:
             raise ValueError("lambda_max must be >= lambda_min")
+        require_integer("lambda_steps", self.lambda_steps)
         if self.lambda_steps < 1:
             raise ValueError(f"lambda_steps must be >= 1, got {self.lambda_steps}")
+        for r in self.r_list:
+            require_integer("r_list entry", r)
         if not self.r_list or any(not 1 <= r <= MAX_SEPARATION for r in self.r_list):
             raise ValueError(f"r_list must be non-empty with entries in [1, {MAX_SEPARATION}]")
         if not self.theta_list:
@@ -77,6 +81,7 @@ class SweepConfig:
             raise ValueError(f"theta_list entries must be in [0, pi], got {bad_theta}")
         if not self.kinds or any(k not in KINDS for k in self.kinds):
             raise ValueError(f"kinds must be a non-empty subset of {KINDS}")
+        require_integer("loop_steps", self.loop_steps)
         if self.loop_steps < MIN_LOOP_STEPS:
             raise ValueError(f"loop_steps must be >= {MIN_LOOP_STEPS}, got {self.loop_steps}")
         # quad_tol is checked as each point's CouplingRatio will check it
@@ -112,24 +117,29 @@ _STATUSES = {
 }
 
 
-def _evaluate_coupling(config, coupling):
-    """The rows of one (lambda, r) coupling point, one per sorted theta; an
-    error becomes the status of each row it reached."""
+def _evaluate_coupling(config, coupling, thetas=None):
+    """The rows of one (lambda, r) coupling point, one per theta of the sorted
+    theta_list (or of thetas), from one compute_phases call.
+
+    A raised error becomes the status of every row, with one exception: a
+    vanishing visibility belongs to a single theta, so when a stack of
+    several theta values raises VisibilityError, each theta of the coupling
+    is evaluated again on its own.
+    """
     lam, r = coupling
-    thetas = tuple(sorted(config.theta_list))
+    thetas = thetas or tuple(sorted(config.theta_list))
     try:
-        outcomes = compute_phases(
+        records = compute_phases(
             lam, r, thetas, kinds=config.kinds, loop_steps=config.loop_steps,
             quad_tol=config.quad_tol, rank_eps=config.rank_eps,
         )
     except tuple(_STATUSES) as exc:
-        outcomes = [exc] * len(thetas)
-    return [
-        SweepRecord(lam, r, float(theta), out) if isinstance(out, PhaseRecord) else
-        SweepRecord(lam, r, float(theta),
-                    status=next(s for error, s in _STATUSES.items() if isinstance(out, error)))
-        for theta, out in zip(thetas, outcomes)
-    ]
+        if isinstance(exc, VisibilityError) and len(thetas) > 1:
+            return [row for theta in thetas
+                    for row in _evaluate_coupling(config, coupling, (theta,))]
+        status = next(s for error, s in _STATUSES.items() if isinstance(exc, error))
+        return [SweepRecord(lam, r, float(theta), status=status) for theta in thetas]
+    return [SweepRecord(lam, r, float(theta), rec) for theta, rec in zip(thetas, records)]
 
 
 def _unwrap_family(records, attr, target):

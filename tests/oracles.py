@@ -5,6 +5,10 @@
   full dense 2^n Hamiltonian and ``scipy.linalg.eigh``, against which the
   symmetry-reduced solver of ``ising.exact_diag_correlators`` is pinned.  It
   costs about 8 s at n = 12, so the suite uses it up to n = 10.
+* ``pair_spectrum``, ``pair_amplitude`` and ``single_amplitude``: the
+  closed forms of the two-site spectrum and of both interferometric
+  amplitudes, fixed by the symmetries of the X-shaped state (it commutes
+  with SWAP and with Z x Z).
 """
 
 import numpy as np
@@ -41,3 +45,42 @@ def dense_exact_diag_correlators(n_sites, lam):
     ising.check_chain_size(n_sites)
     w, v = scipy.linalg.eigh(dense_chain_hamiltonian(n_sites, lam), subset_by_index=[0, 1])
     return ising._ground_correlators(n_sites, w, v)
+
+
+def pair_spectrum(c):
+    """(p+, p-, T0, S): the eigenvalues of the two-site state of correlators c.
+
+    In span{|00>, |11>}, p+- = (1 + c_zz)/4 +- R with
+    R = sqrt(m^2/4 + (c_xx - c_yy)^2/16); p- is taken as det / p+ of that
+    block, free of the cancellation of the difference.  The triplet
+    T0 = (|01> + |10>)/sqrt 2 and the singlet S have the weights
+    (1 - c_zz +- (c_xx + c_yy))/4.
+    """
+    rho_00 = (1 + 2 * c.m + c.c_zz) / 4
+    rho_33 = (1 - 2 * c.m + c.c_zz) / 4
+    rho_03 = (c.c_xx - c.c_yy) / 4
+    p_plus = (1 + c.c_zz) / 4 + _radius(c)
+    p_minus = (rho_00 * rho_33 - rho_03**2) / p_plus
+    return (p_plus, p_minus, (1 - c.c_zz + c.c_xx + c.c_yy) / 4,
+            (1 - c.c_zz - c.c_xx - c.c_yy) / 4)
+
+
+def _radius(c):
+    return np.sqrt(c.m**2 / 4 + (c.c_xx - c.c_yy) ** 2 / 16)
+
+
+def pair_amplitude(c, theta):
+    """The two-site interferometric amplitude along the loop at theta.
+
+    On the pair e^{2 pi K} = I, and U(0) turns each eigenvector's <K> into
+    i cos(theta) <S_z>: +-m/(2R) on the |00>, |11> block, 0 on T0 and S.
+    """
+    radius = _radius(c)
+    phi = np.pi * c.m * np.cos(theta) / radius
+    return (1 - c.c_zz) / 2 + (1 + c.c_zz) / 2 * np.cos(phi) - 2j * radius * np.sin(phi)
+
+
+def single_amplitude(m, theta):
+    """The single-site interferometric amplitude along the loop at theta."""
+    angle = np.pi * np.cos(theta)
+    return -(np.cos(angle) - 1j * m * np.sin(angle))

@@ -403,6 +403,11 @@ class TestCorrelators:
         with pytest.raises(ValueError):
             correlators(0, CouplingRatio(1.0))
 
+    @pytest.mark.parametrize("r", [1.5, 2.0, "2", None])
+    def test_non_integer_separation_rejected(self, r):
+        with pytest.raises(ValueError, match="r must be an integer"):
+            correlators(r, CouplingRatio(1.0))
+
 
 class TestGroundEnergyDensity:
     def test_free_limit(self):

@@ -25,6 +25,7 @@ from tfim_phases.states import (
     single_site_state,
     two_site_state,
 )
+from tfim_phases.sweep import SweepConfig, run_sweep
 
 from oracles import evolve
 
@@ -604,6 +605,11 @@ def outcome(fn, *args, **kwargs):
         return exc
 
 
+def bits(record):
+    """A record's fields, with each float as its exact bit pattern."""
+    return [v.hex() if isinstance(v, float) else v for v in vars(record).values()]
+
+
 def same_outcome(a, b):
     if isinstance(a, Exception) or isinstance(b, Exception):
         return type(a) is type(b) and str(a) == str(b)
@@ -639,16 +645,6 @@ class TestThetaStacks:
     @pytest.mark.parametrize("lam,r,kinds,thetas,eps,rank_eps,statuses", [
         (1.5, 1, KINDS, STACK_THETAS, _VISIBILITY_EPS, 1e-8, ["ok"] * 5),
         (0.5, 10, KINDS, STACK_THETAS, _VISIBILITY_EPS, 1e-8, ["ok"] * 5),
-        # rank deficient: every theta
-        (0.01, 1, KINDS, STACK_THETAS, _VISIBILITY_EPS, 1e-8, [RankDeficientError] * 5),
-        # the pair's Uhlmann trace is 0.04 at pi/2 and 0.74 at pi/3 and 2pi/3
-        (0.5, 1, ("uhlmann",), (np.pi / 3, np.pi / 2, 2 * np.pi / 3), 0.1, 1e-8,
-         ["ok", VisibilityError, "ok"]),
-        # the pair's interferometric amplitude is 0.20 at pi/6 and 0.60 at
-        # pi/3 (the single site's 0.36): that theta's vanishing visibility
-        # comes before the rank deficiency of the coupling point
-        (1.5, 1, KINDS, (np.pi / 6, np.pi / 3, np.pi / 2), 0.3, 0.5,
-         [VisibilityError, RankDeficientError, RankDeficientError]),
     ])
     def test_compute_phases_sequence_equals_float_calls(self, monkeypatch, lam, r, kinds,
                                                         thetas, eps, rank_eps, statuses):
@@ -663,6 +659,60 @@ class TestThetaStacks:
                 assert values and all(np.isfinite(values))
             else:
                 assert type(got) is status
+
+    @pytest.mark.parametrize("lam,r,kinds,thetas,eps,rank_eps,statuses", [
+        # rank deficient: every theta
+        (0.01, 1, KINDS, STACK_THETAS, _VISIBILITY_EPS, 1e-8, ["rank_deficient"] * 5),
+        # the pair's Uhlmann trace is 0.04 at pi/2 and 0.74 at pi/3 and 2pi/3
+        (0.5, 1, ("uhlmann",), (np.pi / 3, np.pi / 2, 2 * np.pi / 3), 0.1, 1e-8,
+         ["ok", "vanishing_visibility", "ok"]),
+        # the pair's interferometric amplitude is 0.20 at pi/6 and 0.60 at
+        # pi/3 (the single site's 0.36): that theta's vanishing visibility
+        # comes before the rank deficiency of the coupling point, since the
+        # kernels run in call order
+        (1.5, 1, KINDS, (np.pi / 6, np.pi / 3, np.pi / 2), 0.3, 0.5,
+         ["vanishing_visibility", "rank_deficient", "rank_deficient"]),
+    ])
+    def test_sweep_statuses_equal_float_calls(self, monkeypatch, lam, r, kinds,
+                                              thetas, eps, rank_eps, statuses):
+        monkeypatch.setattr(phases, "_VISIBILITY_EPS", eps)
+        config = SweepConfig(lambda_min=lam, lambda_max=lam, lambda_steps=1, r_list=(r,),
+                             theta_list=thetas, kinds=kinds, loop_steps=64, rank_eps=rank_eps)
+        rows = run_sweep(config)
+        assert [x.status for x in rows] == statuses
+        for theta, row in zip(thetas, rows):
+            expected = outcome(compute_phases, lam, r, theta, kinds=kinds, loop_steps=64,
+                               rank_eps=rank_eps)
+            if row.status == "ok":
+                assert bits(row.record) == bits(expected)
+            else:
+                assert type(expected) is {"rank_deficient": RankDeficientError,
+                                          "vanishing_visibility": VisibilityError}[row.status]
+
+    @pytest.mark.parametrize("kernel", ["interferometric", "uhlmann"])
+    @pytest.mark.parametrize("state", ["single", "pair"])
+    def test_stacked_kernel_raises_smallest_visibility(self, monkeypatch, state, kernel):
+        rho = pair_or_single(state, 0.5)
+
+        def run(theta):
+            if kernel == "uhlmann":
+                return uhlmann_phase(rho, LoopSpec(theta=theta, steps=64))
+            return interferometric_phase(rho, theta)
+
+        # at a threshold above every magnitude, each float call names its own
+        monkeypatch.setattr(phases, "_VISIBILITY_EPS", 10.0)
+        magnitudes = [outcome(run, theta).magnitude for theta in STACK_THETAS]
+        assert len(set(magnitudes)) > 2
+        smallest, third = sorted(magnitudes)[0], sorted(magnitudes)[2]
+        for eps in (10.0, third):
+            monkeypatch.setattr(phases, "_VISIBILITY_EPS", eps)
+            with pytest.raises(VisibilityError) as exc:
+                run(STACK_THETAS)
+            assert exc.value.magnitude == smallest and exc.value.threshold == eps
+        # below every magnitude (the Uhlmann V_inf traces are close to, not
+        # equal to, the V(2pi) traces), the stack gives one value per theta
+        monkeypatch.setattr(phases, "_VISIBILITY_EPS", smallest / 2)
+        assert len(run(STACK_THETAS)) == len(STACK_THETAS)
 
     def test_zero_dimensional_theta_is_a_float(self):
         expected = compute_phases(1.5, 1, THETA, loop_steps=64)

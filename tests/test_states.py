@@ -215,6 +215,12 @@ class TestLoopSpec:
         with pytest.raises(ValueError):
             LoopSpec(theta=3.5)
 
+    @pytest.mark.parametrize("steps", [64.5, 64.0, "64", None])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            LoopSpec(theta=np.pi / 3, steps=steps)
+        assert LoopSpec(theta=np.pi / 3, steps=np.int64(64)).steps == 64
+
     def test_theta_sequence(self):
         assert LoopSpec(theta=(0.0, np.pi)).theta == (0.0, np.pi)
         for bad in ((0.1, 3.5), (-0.1, 0.2), (), (0.1, float("nan"))):

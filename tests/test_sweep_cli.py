@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from tfim_phases import cli, ising, sweep
+from tfim_phases import cli, ising, phases, sweep
 from tfim_phases.cli import main
 from tfim_phases.errors import RankDeficientError, UnphysicalStateError
 from tfim_phases.ising import CouplingRatio
@@ -172,6 +172,24 @@ class TestRunSweep:
         assert calls == [(lam, r, (0.0, np.pi / 12, np.pi / 4))
                          for r in (1, 10) for lam in config.lambda_grid()]
 
+    def test_vanishing_visibility_evaluates_each_theta_alone(self, monkeypatch):
+        calls = []
+
+        def counting_compute_phases(lam, r, theta, **kwargs):
+            calls.append(tuple(theta))
+            return compute_phases(lam, r, theta, **kwargs)
+
+        monkeypatch.setattr(sweep, "compute_phases", counting_compute_phases)
+        # the pair's Uhlmann trace at lambda = 0.5 is 0.04 at pi/2, 0.74 at pi/3
+        monkeypatch.setattr(phases, "_VISIBILITY_EPS", 0.1)
+        thetas = (np.pi / 3, np.pi / 2, 2 * np.pi / 3)
+        config = small_config(lambda_min=0.5, lambda_max=0.5, lambda_steps=1,
+                              theta_list=thetas, kinds=("uhlmann",))
+        records = run_sweep(config)
+        assert [x.status for x in records] == ["ok", "vanishing_visibility", "ok"]
+        assert len(calls) == 1 + len(thetas)
+        assert calls == [thetas] + [(theta,) for theta in thetas]
+
     def test_unwrap_disabled_copies_principal(self):
         config = small_config(unwrap=False)
         for rec in run_sweep(config):
@@ -332,6 +350,21 @@ class TestConfigValidation:
     def test_bad_loop_and_tolerance_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             SweepConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,wrap,name", [
+        ("r_list", lambda x: (1, x), "r_list entry"),
+        ("lambda_steps", lambda x: x, "lambda_steps"),
+        ("loop_steps", lambda x: x, "loop_steps"),
+    ], ids=["r_list", "lambda_steps", "loop_steps"])
+    def test_non_integer_counts_rejected_before_any_point(self, monkeypatch, field, wrap,
+                                                          name):
+        def no_point(*args, **kwargs):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(sweep, "compute_phases", no_point)
+        for bad in (2.5, 64.5, 20.0, "20", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                run_sweep(SweepConfig(**{field: wrap(bad)}))
 
     def test_boundary_values_accepted(self):
         SweepConfig(theta_list=(0.0, np.pi), loop_steps=16)
