@@ -1,9 +1,10 @@
 """Mixed-state geometric phases along the fixed-theta rotation loops.
 
 Two notions are implemented for both the single-site and two-site reduced
-states.  Since U(phi) = e^{K phi} U(0), each depends on the loop only
-through K and U(0), and each takes one eigendecomposition rho = v p v^dag,
-whose eigenvectors the loop carries to w = U(0) v:
+states.  Since U(phi) = e^{K phi} U(0), with K diagonal and the full turn
+e^{2 pi K} the exact sign FULL_TURN_SIGN[dim], each builds no loop unitary
+but U(0), and each takes one eigendecomposition rho = v p v^dag, whose
+eigenvectors the loop carries to w = U(0) v:
 
 * the interferometric phase: argument of the eigenvalue-weighted sum of loop
   amplitudes <w_n|e^{2 pi K}|w_n> with the connection phase
@@ -18,11 +19,10 @@ whose eigenvectors the loop carries to w = U(0) v:
   V_inf = e^{2 pi K} e^{2 pi (A(0) - K)}, the matrix at first order in the
   step and the phase at second order; the phase of V_inf gives the step error.
 
-Each kernel takes theta (the Uhlmann kernel as LoopSpec.theta) as a float
-or as a sequence, which it evaluates as one stack of loops from the one
-decomposition; a sequence gives a tuple of per-theta values.  Every
-failure is raised, for a stack as for a float: a VisibilityError if any
-theta's amplitude or trace vanishes, naming the smallest magnitude.
+Each kernel takes theta (the Uhlmann kernel as LoopSpec.theta) as a float,
+or as a sequence evaluated as one stack of loops from the one decomposition
+into a tuple of per-theta values.  Every failure is raised, for a stack as
+for a float: a VisibilityError if any amplitude or trace vanishes, naming it.
 
 Both deviations delta_gamma and delta_gamma_u compare the two-site phase
 against twice the single-site phase, each computed with the same code path
@@ -46,6 +46,7 @@ from .errors import RankDeficientError, VisibilityError
 from .ising import CouplingRatio, correlators
 from .linalg import expm_antihermitian, hermitian_eigen, unitary_power
 from .states import (
+    FULL_TURN_SIGN,
     LoopSpec,
     generator_diagonal,
     loop_generator,
@@ -86,10 +87,6 @@ def wrap_angle(x):
 # interferometric phase
 # ---------------------------------------------------------------------------
 
-def _is_sequence(theta):
-    return isinstance(theta, tuple) or np.ndim(theta) > 0
-
-
 def _phases(amplitudes):
     """arg of each amplitude of a stack; raises the VisibilityError of the
     smallest magnitude if any is below _VISIBILITY_EPS."""
@@ -102,20 +99,19 @@ def _phases(amplitudes):
 def interferometric_phase_from_eigen(p, v, theta):
     """Interferometric phase from an explicit spectral decomposition.
 
-    K is diagonal, so <w_n|e^{2 pi K}|w_n> and <w_n|K|w_n> are sums over its
-    diagonal weighted by |w_n|^2.  A theta sequence is evaluated as one stack
-    and gives a tuple with one phase per theta; if any theta's amplitude
-    vanishes, the VisibilityError names the smallest.
+    <w_n|K|w_n> is a sum over the diagonal of K weighted by |w_n|^2; these
+    weights sum to 1, so <w_n|e^{2 pi K}|w_n> is the full-turn sign.  A theta
+    sequence is evaluated as one stack and gives a tuple with one phase per
+    theta; if any theta's amplitude vanishes, the VisibilityError names it.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=complex)
     dim = v.shape[0]
     weights = np.abs(loop_unitary(0.0, np.atleast_1d(theta), dim) @ v) ** 2
-    k = generator_diagonal(dim)
-    overlaps = np.exp(2 * np.pi * k) @ weights
-    rates = k @ weights
-    gammas = _phases(np.sum(p * overlaps * np.exp(-2 * np.pi * rates), axis=-1)).tolist()
-    return tuple(gammas) if _is_sequence(theta) else gammas[0]
+    rates = generator_diagonal(dim) @ weights
+    amplitudes = FULL_TURN_SIGN[dim] * np.sum(p * np.exp(-2 * np.pi * rates), axis=-1)
+    gammas = _phases(amplitudes).tolist()
+    return tuple(gammas) if np.ndim(theta) else gammas[0]
 
 
 def interferometric_phase(rho, theta):
@@ -173,16 +169,17 @@ def _holonomy_matrix(a0, steps):
     The family is rho(phi) = e^{K phi} rho(0) e^{-K phi}, so the connection is
     covariant, A(phi) = e^{K phi} A(0) e^{-K phi}, and the ordered product
     over phi_j = j dphi, j = 0 .. steps-1, telescopes exactly to
-    e^{2 pi K} (e^{-K dphi} e^{A(0) dphi})^steps.  This is the same finite-step
-    product, not its steps -> inf limit.  Since ||K|| <= 1 and
+    e^{2 pi K} (e^{-K dphi} e^{A(0) dphi})^steps, the full-turn sign times a
+    power of a step factor whose diagonal e^{-K dphi} is a row scale: the
+    finite-step product, not its steps -> inf limit.  Since ||K|| <= 1 and
     ||A(0)|| <= ||K||_F <= sqrt(2), the step factor's eigenphases lie within
     (1 + sqrt(2)) dphi < pi/2 of 0 for steps >= 16, as unitary_power requires.
     A (..., d, d) stack of A(0) gives the stack of holonomies.
     """
     dim = a0.shape[-1]
     dphi = 2 * np.pi / steps
-    step = loop_unitary(-dphi, 0.0, dim) @ expm_antihermitian(a0, dphi)
-    return loop_unitary(2 * np.pi, 0.0, dim) @ unitary_power(step, steps)
+    step = np.exp(-dphi * generator_diagonal(dim))[:, None] * expm_antihermitian(a0, dphi)
+    return FULL_TURN_SIGN[dim] * unitary_power(step, steps)
 
 
 def uhlmann_holonomy(rho, loop: LoopSpec, rank_eps=RANK_EPS):
@@ -210,14 +207,13 @@ def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult | tup
     """
     base, a0 = _loop_start(rho, np.atleast_1d(loop.theta), rank_eps)
     dim = a0.shape[-1]
-    v_inf = loop_unitary(2 * np.pi, 0.0, dim) @ expm_antihermitian(
-        a0 - loop_generator(dim), 2 * np.pi)
+    v_inf = FULL_TURN_SIGN[dim] * expm_antihermitian(a0 - loop_generator(dim), 2 * np.pi)
     gamma_n, gamma_inf = (_phases(np.trace(base @ v, axis1=-2, axis2=-1))
                           for v in (_holonomy_matrix(a0, loop.steps), v_inf))
     step_errors = np.abs(wrap_angle(gamma_n - gamma_inf))
     results = [UhlmannResult(g, e, loop.steps)
                for g, e in zip(gamma_n.tolist(), step_errors.tolist())]
-    return tuple(results) if _is_sequence(loop.theta) else results[0]
+    return tuple(results) if isinstance(loop.theta, tuple) else results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -245,31 +241,28 @@ class PhaseRecord:
 def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
                    quad_tol=CouplingRatio.quad_tol, rank_eps=RANK_EPS) -> PhaseRecord | tuple:
     """Evaluate the requested phase kinds at one coupling point (lambda, r)
-    for a polar angle theta, or for a sequence of them as one stack.
-
-    With a sequence, the result is a tuple with one PhaseRecord per theta,
-    whose fields are computed as arrays across the stack.  Every error is
+    for a polar angle theta, giving one PhaseRecord, or for a sequence of
+    them as one stack, giving a tuple with one PhaseRecord per theta whose
+    fields are computed as arrays across the stack.  Every error is
     raised, the first met in the order of the kernel calls: those of the
     coupling point (quadrature, correlator bounds, unphysical state) before
     the kernels, then those of each kernel (rank, Hermiticity, and a
     vanishing visibility, which belongs to one theta of a stack); sweep
-    drivers map errors to status rows.  A float theta gives one PhaseRecord.
-    kinds, theta, loop_steps and rank_eps are checked before any work, for
-    every kind.  Each requested kind decomposes each state once.
+    drivers map errors to status rows.  kinds, theta, loop_steps and rank_eps
+    are checked before any work, for every kind.  Each requested kind
+    decomposes each state once.
     """
-    if any(k not in KINDS for k in kinds):
-        raise ValueError(f"kinds must be drawn from {KINDS}, got {tuple(kinds)}")
-    loop = LoopSpec(theta=tuple(theta) if _is_sequence(theta) else (theta,), steps=loop_steps)
+    if not kinds or any(k not in KINDS for k in kinds):
+        raise ValueError(f"kinds must be a non-empty subset of {KINDS}, got {tuple(kinds)}")
+    loop = LoopSpec(theta=np.atleast_1d(theta), steps=loop_steps)
     if not rank_eps > 0:
         raise ValueError(f"rank_eps must be > 0, got {rank_eps}")
     c = correlators(r, CouplingRatio(lam, quad_tol))
-    pair = two_site_state(c)
-    single = single_site_state(c.m)
+    pair, single = two_site_state(c), single_site_state(c.m)
 
     columns, steps_used = {}, 0  # PhaseRecord fields, one entry per theta
     if "interferometric" in kinds:
-        g_pair = np.array(interferometric_phase(pair, loop.theta))
-        g_single = np.array(interferometric_phase(single, loop.theta))
+        g_pair, g_single = (np.array(interferometric_phase(x, loop.theta)) for x in (pair, single))
         columns.update(gamma_int_pair=g_pair, gamma_int_single=g_single,
                        delta_gamma=wrap_angle(g_pair - 2 * g_single))
     if "uhlmann" in kinds:
@@ -285,4 +278,4 @@ def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
         steps_used = loop_steps
     records = tuple(PhaseRecord(**dict(zip(columns, row)), steps_used=steps_used)
                     for row in zip(*(col.tolist() for col in columns.values())))
-    return records if _is_sequence(theta) else records[0]
+    return records if np.ndim(theta) else records[0]

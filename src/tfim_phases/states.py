@@ -26,6 +26,7 @@ __all__ = [
     "single_site_state",
     "two_site_state",
     "generator_diagonal",
+    "FULL_TURN_SIGN",
     "loop_generator",
     "loop_unitary",
 ]
@@ -38,16 +39,19 @@ _PSD_FLOOR = -1e-10
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """Fixed polar angle theta (or a tuple of them) and the number of
-    azimuthal grid steps."""
+    """Fixed polar angle theta (a float, or a tuple of floats from a 1-D
+    sequence) and the number of azimuthal grid steps."""
 
     theta: float
     steps: int = 2000
 
     def __post_init__(self):
-        thetas = self.theta if isinstance(self.theta, tuple) else (self.theta,)
-        bad = [t for t in thetas if not 0 <= t <= np.pi]
-        if bad or not thetas:
+        theta = np.asarray(self.theta)
+        if theta.ndim > 1 or theta.dtype.kind not in "biuf":
+            raise ValueError(f"theta must be a float or a 1-D float sequence, got {self.theta!r}")
+        object.__setattr__(self, "theta", tuple(map(float, theta)) if theta.ndim else float(theta))
+        bad = [t for t in np.atleast_1d(theta).tolist() if not 0 <= t <= np.pi]
+        if bad or not theta.size:
             raise ValueError(f"theta must be in [0, pi], got {', '.join(map(str, bad)) or 'none'}")
         require_integer("steps", self.steps)
         if self.steps < MIN_LOOP_STEPS:
@@ -86,6 +90,9 @@ def generator_diagonal(dim: int) -> np.ndarray:
     if dim == 4:
         return np.array([1j, 0.0, 0.0, -1j])
     raise ValueError(f"dim must be 2 or 4, got {dim}")
+
+
+FULL_TURN_SIGN = {2: -1, 4: 1}  # e^{2 pi K} = sign * I exactly: a spinor's -1, the pair's +1
 
 
 def loop_generator(dim: int) -> np.ndarray:

@@ -9,13 +9,20 @@
   closed forms of the two-site spectrum and of both interferometric
   amplitudes, fixed by the symmetries of the X-shaped state (it commutes
   with SWAP and with Z x Z).
+* ``product_form_holonomy``, ``product_form_uhlmann`` and
+  ``product_form_interferometric``: both phase kernels with the loop's
+  factors e^{2 pi K} and e^{-K dphi} applied as matrix products built by
+  ``loop_unitary``, against which the kernels' exact full-turn sign and
+  row scale are pinned.
 """
 
 import numpy as np
 import scipy.linalg
 
 from tfim_phases import ising
-from tfim_phases.states import loop_unitary
+from tfim_phases.linalg import expm_antihermitian, hermitian_eigen, unitary_power
+from tfim_phases.phases import _loop_start, wrap_angle
+from tfim_phases.states import loop_generator, loop_unitary
 
 
 def evolve(rho, phi, theta):
@@ -84,3 +91,35 @@ def single_amplitude(m, theta):
     """The single-site interferometric amplitude along the loop at theta."""
     angle = np.pi * np.cos(theta)
     return -(np.cos(angle) - 1j * m * np.sin(angle))
+
+
+def product_form_holonomy(a0, steps):
+    """e^{2 pi K} (e^{-K dphi} e^{A(0) dphi})^steps, each loop factor a matrix."""
+    dim = a0.shape[-1]
+    dphi = 2 * np.pi / steps
+    step = loop_unitary(-dphi, 0.0, dim) @ expm_antihermitian(a0, dphi)
+    return loop_unitary(2 * np.pi, 0.0, dim) @ unitary_power(step, steps)
+
+
+def product_form_uhlmann(rho, theta, steps, rank_eps=1e-8):
+    """(gamma_N, |wrap(gamma_N - gamma_inf)|) per theta of a 1-D theta, with
+    V_inf = e^{2 pi K} e^{2 pi (A(0) - K)} as a matrix product."""
+    base, a0 = _loop_start(rho, np.atleast_1d(theta), rank_eps)
+    dim = a0.shape[-1]
+    v_inf = loop_unitary(2 * np.pi, 0.0, dim) @ expm_antihermitian(
+        a0 - loop_generator(dim), 2 * np.pi)
+    gamma_n, gamma_inf = (np.angle(np.trace(base @ v, axis1=-2, axis2=-1))
+                          for v in (product_form_holonomy(a0, steps), v_inf))
+    return gamma_n, np.abs(wrap_angle(gamma_n - gamma_inf))
+
+
+def product_form_interferometric(rho, theta):
+    """Interferometric phase per theta of a 1-D theta, with each amplitude's
+    full turn the overlap <w_n|e^{2 pi K}|w_n> of the weights |w_n|^2."""
+    p, v = hermitian_eigen(rho)
+    dim = len(p)
+    weights = np.abs(loop_unitary(0.0, np.atleast_1d(theta), dim) @ v) ** 2
+    k = np.diag(loop_generator(dim))
+    overlaps = np.exp(2 * np.pi * k) @ weights
+    rates = k @ weights
+    return np.angle(np.sum(p * overlaps * np.exp(-2 * np.pi * rates), axis=-1))

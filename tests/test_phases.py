@@ -27,7 +27,12 @@ from tfim_phases.states import (
 )
 from tfim_phases.sweep import SweepConfig, run_sweep
 
-from oracles import evolve
+from oracles import (
+    evolve,
+    product_form_holonomy,
+    product_form_interferometric,
+    product_form_uhlmann,
+)
 
 THETA = np.pi / 3
 
@@ -577,6 +582,15 @@ class TestComputePhases:
         compute_phases(1.5, 1, THETA, kinds=kinds, loop_steps=64)
         assert shapes == expected
 
+    @pytest.mark.parametrize("theta", [1.0, (0.5, 1.0)])
+    def test_empty_kinds_rejected_before_any_work(self, monkeypatch, theta):
+        def no_correlators(*args, **kwargs):
+            raise AssertionError("correlators called")
+
+        monkeypatch.setattr(phases, "correlators", no_correlators)
+        with pytest.raises(ValueError, match=r"kinds must be a non-empty subset of"):
+            compute_phases(0.5, 1, theta, kinds=())
+
     @pytest.mark.parametrize("kinds", [("uhlman",), ("interferometric", "both")])
     def test_unknown_kind_rejected_before_any_work(self, monkeypatch, kinds):
         def no_correlators(*args, **kwargs):
@@ -718,3 +732,46 @@ class TestThetaStacks:
         expected = compute_phases(1.5, 1, THETA, loop_steps=64)
         assert compute_phases(1.5, 1, np.array(THETA), loop_steps=64) == expected
         assert compute_phases(1.5, 1, np.array([THETA]), loop_steps=64) == (expected,)
+
+
+class TestFullTurnSign:
+    """The kernels apply e^{2 pi K} as FULL_TURN_SIGN and e^{-K dphi} as a row
+    scale; pinned against the matrix products from loop_unitary they replace."""
+
+    @pytest.mark.parametrize("steps", [16, 17, 2000])
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("state", ["single", "pair"])
+    def test_holonomy_equals_product_form(self, state, lam, steps):
+        rho = pair_or_single(state, lam)
+        _, a0 = phases._loop_start(rho, np.array(STACK_THETAS), phases.RANK_EPS)
+        expected = product_form_holonomy(a0, steps)
+        stacked = uhlmann_holonomy(rho, LoopSpec(theta=STACK_THETAS, steps=steps))
+        floats = [uhlmann_holonomy(rho, LoopSpec(theta=t, steps=steps)) for t in STACK_THETAS]
+        # a 1-ulp change of the step factor's eigenphases grows steps-fold in
+        # its power: 8.4e-14 at 2000 steps on the pair, 2e-15 at 16 and 17
+        for got in (stacked, np.array(floats)):
+            assert np.abs(got - expected).max() <= 1e-14 + steps * 1e-16
+
+    @pytest.mark.parametrize("steps", [16, 17, 2000])
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("state", ["single", "pair"])
+    def test_uhlmann_phase_equals_product_form(self, state, lam, steps):
+        rho = pair_or_single(state, lam)
+        gammas, step_errors = product_form_uhlmann(rho, STACK_THETAS, steps)
+        stacked = uhlmann_phase(rho, LoopSpec(theta=STACK_THETAS, steps=steps))
+        floats = [uhlmann_phase(rho, LoopSpec(theta=t, steps=steps)) for t in STACK_THETAS]
+        for results in (stacked, floats):
+            got = np.array([x.phase for x in results])
+            assert np.abs(wrap_angle(got - gammas)).max() <= 1e-14
+            got = np.array([x.convergence_estimate for x in results])
+            assert np.abs(got - step_errors).max() <= 1e-14
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("state", ["single", "pair"])
+    def test_interferometric_phase_equals_product_form(self, state, lam):
+        rho = pair_or_single(state, lam)
+        expected = product_form_interferometric(rho, STACK_THETAS)
+        stacked = interferometric_phase(rho, STACK_THETAS)
+        floats = [interferometric_phase(rho, t) for t in STACK_THETAS]
+        for got in (stacked, floats):
+            assert np.abs(wrap_angle(np.array(got) - expected)).max() <= 1e-14

@@ -5,7 +5,9 @@ import scipy.linalg
 from tfim_phases.errors import UnphysicalStateError
 from tfim_phases.ising import Correlators, CouplingRatio, correlators
 from tfim_phases.linalg import SIGMA_Z
+from tfim_phases.phases import compute_phases, interferometric_phase, uhlmann_phase
 from tfim_phases.states import (
+    FULL_TURN_SIGN,
     LoopSpec,
     loop_generator,
     loop_unitary,
@@ -109,6 +111,15 @@ class TestRotations:
         for theta in (0.3, 2.0):
             u0 = loop_unitary(0.0, theta, 2)
             assert np.abs(loop_unitary(2 * np.pi, theta, 2) + u0).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_full_turn_is_the_exact_sign(self, dim):
+        # the kernels apply e^{2 pi K} as FULL_TURN_SIGN; the matrix is that
+        # sign up to the rounding of exp(2 pi i K_nn)
+        thetas = np.array([0.0, np.pi / 12, 1.0, np.pi / 2, np.pi])
+        full_turn = loop_unitary(2 * np.pi, thetas, dim)
+        start = loop_unitary(0.0, thetas, dim)
+        assert np.abs(full_turn - FULL_TURN_SIGN[dim] * start).max() <= 1e-15
 
     def test_pair_full_turn_sign_cancels(self):
         theta = 0.8
@@ -225,4 +236,30 @@ class TestLoopSpec:
         assert LoopSpec(theta=(0.0, np.pi)).theta == (0.0, np.pi)
         for bad in ((0.1, 3.5), (-0.1, 0.2), (), (0.1, float("nan"))):
             with pytest.raises(ValueError, match="theta"):
+                LoopSpec(theta=bad)
+
+    def test_list_and_array_theta_equal_the_tuple(self):
+        thetas = (0.1, np.pi / 3, np.pi)
+        expected = LoopSpec(theta=thetas, steps=64)
+        rho = two_site_state(correlators(1, CouplingRatio(1.5)))
+        for theta in (list(thetas), np.array(thetas)):
+            loop = LoopSpec(theta=theta, steps=64)
+            assert loop == expected
+            assert type(loop.theta) is tuple and all(type(t) is float for t in loop.theta)
+            assert uhlmann_phase(rho, loop) == uhlmann_phase(rho, expected)
+            assert interferometric_phase(rho, theta) == interferometric_phase(rho, thetas)
+            assert (compute_phases(1.5, 1, theta, loop_steps=64)
+                    == compute_phases(1.5, 1, thetas, loop_steps=64))
+
+    def test_zero_dimensional_theta_is_a_float(self):
+        loop = LoopSpec(theta=np.array(0.3))
+        assert type(loop.theta) is float and loop == LoopSpec(theta=0.3)
+
+    def test_bad_list_or_array_theta_rejected(self):
+        with pytest.raises(ValueError, match=r"theta must be in \[0, pi\], got 3.5"):
+            LoopSpec(theta=[0.1, 3.5])
+        with pytest.raises(ValueError, match=r"theta must be in \[0, pi\], got none"):
+            LoopSpec(theta=[])
+        for bad in (np.full((2, 2), 0.5), "0.3", ["0.1"], [0.1, None]):
+            with pytest.raises(ValueError, match="theta must be a float or a 1-D float sequence"):
                 LoopSpec(theta=bad)
