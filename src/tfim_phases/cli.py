@@ -19,6 +19,11 @@ def _items(parse):
     return lambda raw: tuple(parse(x.strip()) for x in raw.split(",") if x.strip())
 
 
+def _kinds(raw):
+    """Parser of a config-file kinds value: comma-separated --kinds choices, "both" too."""
+    return tuple(k for x in _items(str)(raw) for k in _KIND_CHOICES.get(x, (x,)))
+
+
 _TRUTH = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -40,7 +45,7 @@ _SWEEP_FIELDS = {
     "lambda_steps": ("--lam-steps", {"type": int}, int),
     "r_list": ("--r", {"type": int, "nargs": "+"}, _items(int)),
     "theta_list": ("--theta", {"type": float, "nargs": "+"}, _items(float)),
-    "kinds": ("--kinds", {"choices": sorted(_KIND_CHOICES)}, _items(str)),
+    "kinds": ("--kinds", {"choices": sorted(_KIND_CHOICES)}, _kinds),
     "loop_steps": ("--loop-steps", {"type": int}, int),
     "quad_tol": ("--quad-tol", {"type": float}, float),
     "rank_eps": ("--rank-eps", {"type": float}, float),

@@ -64,7 +64,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import QuadratureError
-from .linalg import det_real
 
 __all__ = [
     "CouplingRatio",
@@ -137,7 +136,7 @@ class CouplingRatio:
 
 @dataclass(frozen=True)
 class Correlators:
-    """Magnetization and the three two-site correlators at separation r."""
+    """Magnetization and the three two-site correlators at separation r (NaN fails the bounds)."""
 
     r: int
     m: float
@@ -150,9 +149,9 @@ class Correlators:
             raise ValueError(f"separation r must be >= 1, got {self.r}")
         for name in ("m", "c_xx", "c_yy", "c_zz"):
             val = getattr(self, name)
-            if abs(val) > 1 + BOUND_SLACK:
+            if not abs(val) <= 1 + BOUND_SLACK:
                 raise ValueError(f"{name} = {val} outside [-1, 1]")
-        if abs(self.c_zz - self.m**2) > 1 + BOUND_SLACK:
+        if not abs(self.c_zz - self.m**2) <= 1 + BOUND_SLACK:
             raise ValueError(
                 f"connected zz part {self.c_zz - self.m**2} outside [-1, 1]"
             )
@@ -264,8 +263,8 @@ def correlators(r: int, params: CouplingRatio) -> Correlators:
     # read-only strided views of g, as scipy.linalg.toeplitz builds them but
     # with no copy: entry (i, j) = g[r-1-i+j] = G_{j-i-1} and g[r+1+i-j] = G_{i-j+1}
     step = g.strides[0]
-    c_xx = det_real(as_strided(g[r - 1:], (r, r), (-step, step), writeable=False))
-    c_yy = det_real(as_strided(g[r + 1:], (r, r), (step, -step), writeable=False))
+    c_xx = float(np.linalg.det(as_strided(g[r - 1:], (r, r), (-step, step), writeable=False)))
+    c_yy = float(np.linalg.det(as_strided(g[r + 1:], (r, r), (step, -step), writeable=False)))
     return Correlators(r=r, m=m, c_xx=c_xx, c_yy=c_yy, c_zz=float(m * m - g[2 * r] * g[0]))
 
 

@@ -1,7 +1,6 @@
 """Small dense complex-matrix kernels shared by the physics modules.
 
-Everything here operates on plain ``numpy`` arrays (2x2 and 4x4 complex in
-practice, up to ~100x100 real for the Toeplitz determinants).
+Everything here operates on plain ``numpy`` arrays (2x2 and 4x4 complex).
 """
 
 from __future__ import annotations
@@ -25,32 +24,28 @@ class HermitianEigen(NamedTuple):
     vectors: np.ndarray
 
 
-def hermitian_eigen(m):
-    """Eigendecomposition of a Hermitian matrix with a fixed phase convention.
+# dim -> the indices that put a matrix in Z-parity order, even-weight basis
+# states first, and the inverse permutation
+_PARITY_ORDER = {dim: (np.ix_(order, order), np.argsort(order))
+                 for dim, order in ((2, [0, 1]), (4, [0, 3, 1, 2]))}
 
-    The input is symmetrized before decomposition; a deviation from
-    Hermiticity larger than _HERMITICITY_TOL raises.  Each eigenvector is
-    rephased so that its largest-magnitude component is real and positive,
-    which makes the output deterministic.
+
+def hermitian_eigen(m):
+    """Eigendecomposition of a 2x2 or 4x4 Hermitian matrix in Z-parity order,
+    with no phase convention.
+
+    The input is symmetrized; a deviation from Hermiticity beyond _HERMITICITY_TOL
+    raises.  A matrix that conserves Z parity, as every reduced state does, is block
+    diagonal in that order, so each eigenvector lies in one block, also at a crossing.
     """
     m = np.asarray(m, dtype=complex)
     defect = float(np.abs(m - m.conj().T).max())
     if defect > _HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
                          f"> {_HERMITICITY_TOL:.1e}")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return HermitianEigen(w, v / (pivots / np.abs(pivots)))
-
-
-def det_real(m):
-    """Determinant of a real square matrix (LU with partial pivoting)."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    return float(np.linalg.det(m))
+    blocks, inverse = _PARITY_ORDER[m.shape[0]]
+    w, v = np.linalg.eigh((m + m.conj().T)[blocks] / 2)
+    return HermitianEigen(w, v[inverse])
 
 
 def _dagger(m):

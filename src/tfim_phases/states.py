@@ -59,9 +59,9 @@ class LoopSpec:
 
 
 def single_site_state(m: float) -> np.ndarray:
-    """(I + m Z) / 2 with |m| <= 1 (tiny overshoot clamped)."""
-    if abs(m) > 1 + BOUND_SLACK:
-        raise ValueError(f"|m| = {abs(m)} exceeds 1 beyond tolerance")
+    """(I + m Z) / 2 with |m| <= 1 (tiny overshoot clamped; NaN raises)."""
+    if not abs(m) <= 1 + BOUND_SLACK:
+        raise ValueError(f"m = {m}: |m| exceeds 1 beyond tolerance")
     m = float(np.clip(m, -1.0, 1.0))
     return (IDENTITY_2 + m * SIGMA_Z) / 2
 

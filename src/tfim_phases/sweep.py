@@ -144,12 +144,9 @@ def _evaluate_coupling(config, coupling, thetas=None):
 
 def _unwrap_family(records, attr, target):
     """Unwrap one deviation column along lambda within a (theta, r) family."""
-    values = [getattr(rec.record, attr) for rec in records]
-    defined = [i for i, v in enumerate(values) if v is not None]
-    if defined:
-        unwrapped = np.unwrap([values[i] for i in defined])
-        for i, v in zip(defined, unwrapped):
-            setattr(records[i], target, float(v))
+    defined = [rec for rec in records if getattr(rec.record, attr) is not None]
+    for rec, v in zip(defined, np.unwrap([getattr(rec.record, attr) for rec in defined])):
+        setattr(rec, target, float(v))
 
 
 def run_sweep(config: SweepConfig, workers: int = 1):
@@ -157,12 +154,13 @@ def run_sweep(config: SweepConfig, workers: int = 1):
 
     The unit of work is a coupling point (lambda, r): one compute_phases
     call evaluates it for the whole sorted theta_list, so each state is built
-    and decomposed once for all its theta rows.  Records come in
-    (theta, r, lambda) ascending order, independent of the worker count
-    (>= 1; more than 1 runs a process pool, with at most one worker per
-    coupling point).  lambda runs fastest, so each (theta, r) family is one
-    run of lambda_steps records, and each family's deviations are unwrapped
-    along lambda on their own, also when r_list or theta_list repeats a value.
+    once for all its theta rows.  Records come in (theta, r, lambda)
+    ascending order, independent of the worker count (>= 1; more than 1 runs
+    a process pool, with at most one worker per coupling point).  lambda runs
+    fastest, so each (theta, r) family is one run of lambda_steps records,
+    and each family's deviations are unwrapped along lambda on their own,
+    also when r_list or theta_list repeats a value.  With unwrap off, each
+    row is a family of its own: np.unwrap of one value returns it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -178,13 +176,9 @@ def run_sweep(config: SweepConfig, workers: int = 1):
         rows = list(map(evaluate, couplings))
     records = [rec for theta_rows in zip(*rows) for rec in theta_rows]
 
-    if not config.unwrap:
-        for x in records:
-            x.delta_gamma_unwrapped = x.record.delta_gamma
-            x.delta_gamma_u_unwrapped = x.record.delta_gamma_u
-        return records
-    for i in range(0, len(records), config.lambda_steps):
-        family = records[i:i + config.lambda_steps]
+    size = config.lambda_steps if config.unwrap else 1
+    for i in range(0, len(records), size):
+        family = records[i:i + size]
         _unwrap_family(family, "delta_gamma", "delta_gamma_unwrapped")
         _unwrap_family(family, "delta_gamma_u", "delta_gamma_u_unwrapped")
     return records

@@ -1,5 +1,8 @@
 """Reference implementations that only the tests use.
 
+* ``SIGMA_X``, ``SIGMA_Y``, ``commutator`` and ``sqrt_psd``: the Pauli X and
+  Y matrices, AB - BA, and the Hermitian PSD square root from
+  ``hermitian_eigen``, the kernels that the tests build their oracles from.
 * ``evolve``: the loop's state U(phi) rho U(phi)^dag from ``loop_unitary``.
 * ``dense_exact_diag_correlators``: the exact-diagonalization oracle with the
   full dense 2^n Hamiltonian and ``scipy.linalg.eigh``, against which the
@@ -23,6 +26,27 @@ from tfim_phases import ising
 from tfim_phases.linalg import expm_antihermitian, hermitian_eigen, unitary_power
 from tfim_phases.phases import _loop_start, wrap_angle
 from tfim_phases.states import loop_generator, loop_unitary
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def sqrt_psd(m):
+    """Hermitian PSD square root; eigenvalues in [-1e-12, 0) are clamped to 0."""
+    w, v = hermitian_eigen(m)
+    if w[0] < -1e-12:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -1.0e-12")
+    s = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    return (s + s.conj().T) / 2
+
+
+def commutator(a, b):
+    """AB - BA."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a @ b - b @ a
 
 
 def evolve(rho, phi, theta):

@@ -13,6 +13,7 @@ import scipy.linalg
 from tfim_phases import ising
 from tfim_phases.errors import QuadratureError
 from tfim_phases.ising import (
+    Correlators,
     CouplingRatio,
     correlators,
     exact_diag_correlators,
@@ -20,7 +21,6 @@ from tfim_phases.ising import (
     magnetization,
     toeplitz_element,
 )
-from tfim_phases.linalg import det_real
 
 from oracles import dense_chain_hamiltonian, dense_exact_diag_correlators
 
@@ -383,8 +383,30 @@ class TestCorrelators:
         params = CouplingRatio(lam)
         g = ising._elements(r, params)
         c = correlators(r, params)
-        assert c.c_xx == det_real(scipy.linalg.toeplitz(g[r - 1::-1], g[r - 1:2 * r - 1]))
-        assert c.c_yy == det_real(scipy.linalg.toeplitz(g[r + 1:], g[r + 1:1:-1]))
+        assert c.c_xx == np.linalg.det(scipy.linalg.toeplitz(g[r - 1::-1], g[r - 1:2 * r - 1]))
+        assert c.c_yy == np.linalg.det(scipy.linalg.toeplitz(g[r + 1:], g[r + 1:1:-1]))
+
+    @pytest.mark.parametrize("field", ["m", "c_xx", "c_yy", "c_zz"])
+    def test_nan_field_rejected(self, field):
+        values = {"m": 0.3, "c_xx": 0.1, "c_yy": 0.0, "c_zz": 0.2, field: np.nan}
+        with pytest.raises(ValueError, match=f"^{field} = nan outside"):
+            Correlators(r=1, **values)
+
+    # numpy's det may warn on a NaN entry; the correlator bounds then raise
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+    def test_non_finite_element_rejected_by_its_field(self, monkeypatch):
+        # at r = 2, G_{-1} (index 1 of k = -2 .. 2) enters c_xx alone
+        elements = ising._elements
+
+        def nan_g_minus_one(n, params):
+            g = elements(n, params)
+            if n == 2:
+                g[1] = np.nan
+            return g
+
+        monkeypatch.setattr(ising, "_elements", nan_g_minus_one)
+        with pytest.raises(ValueError, match="^c_xx = nan outside"):
+            correlators(2, CouplingRatio(0.5))
 
     @pytest.mark.parametrize("lam", [1.5, 3.0])
     def test_ordered_xx_reaches_szego_limit(self, lam):

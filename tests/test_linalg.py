@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
-from tfim_phases.ising import CouplingRatio, correlators
 from tfim_phases.linalg import (
     SIGMA_Z,
-    det_real,
     expm_antihermitian,
     hermitian_eigen,
     unitary_power,
 )
-from tfim_phases.states import single_site_state, two_site_state
 
-# test-only kernels, defined beside the oracles that use them
-from test_phases import commutator, sqrt_psd
-from test_states import SIGMA_X, SIGMA_Y
+from oracles import SIGMA_X, SIGMA_Y, commutator, sqrt_psd
 
 
 def random_hermitian(rng, dim):
@@ -23,18 +18,6 @@ def random_hermitian(rng, dim):
 
 def random_antihermitian(rng, dim):
     return 1j * random_hermitian(rng, dim)
-
-
-def cofactor_det(m):
-    """Independent determinant oracle for dims <= 3 (Laplace expansion)."""
-    n = m.shape[0]
-    if n == 1:
-        return m[0, 0]
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        total += (-1) ** j * m[0, j] * cofactor_det(minor)
-    return total
 
 
 class TestHermitianEigen:
@@ -62,38 +45,16 @@ class TestHermitianEigen:
         _, v1 = hermitian_eigen(m)
         _, v2 = hermitian_eigen(m.copy())
         assert np.array_equal(v1, v2)
+
+    def test_parity_blocks_kept_at_exact_degeneracy(self):
+        # the same 2x2 block on {|00>, |11>} and on {|01>, |10>}: every
+        # eigenvalue is doubly degenerate across the two Z-parity blocks
+        m = np.zeros((4, 4), dtype=complex)
+        m[np.ix_([0, 3], [0, 3])] = m[np.ix_([1, 2], [1, 2])] = [[0.3, 0.1], [0.1, 0.2]]
+        w, v = hermitian_eigen(m)
+        assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-15
         for k in range(4):
-            pivot = np.argmax(np.abs(v1[:, k]))
-            assert v1[pivot, k].imag == pytest.approx(0.0, abs=1e-14)
-            assert v1[pivot, k].real > 0
-
-    def test_rephasing_matches_column_loop(self):
-        # The reference rephases one column at a time.  The package's states
-        # have real pivots, so both forms divide by +-1 and agree bitwise.  A
-        # complex pivot's phase is rounded differently by numpy's scalar and
-        # array complex divisions, within a few units in the last place.
-        def column_loop(m):
-            w, v = np.linalg.eigh((m + m.conj().T) / 2)
-            for k in range(v.shape[1]):
-                pivot = int(np.argmax(np.abs(v[:, k])))
-                v[:, k] = v[:, k] / (v[pivot, k] / abs(v[pivot, k]))
-            return w, v
-
-        states = [single_site_state(m) for m in (-0.4, 0.0, 0.3, 1.0)]
-        states += [two_site_state(correlators(r, CouplingRatio(lam)))
-                   for r in (1, 10) for lam in (0.05, 0.5, 1.0, 1.5, 2.0)]
-        for rho in states:
-            w, v = column_loop(rho)
-            eig = hermitian_eigen(rho)
-            assert np.array_equal(eig.values, w) and np.array_equal(eig.vectors, v)
-        rng = np.random.default_rng(11)
-        for dim in (2, 4):
-            for _ in range(50):
-                m = random_hermitian(rng, dim)
-                w, v = column_loop(m)
-                eig = hermitian_eigen(m)
-                assert np.array_equal(eig.values, w)
-                assert np.abs(eig.vectors - v).max() <= 4 * np.finfo(float).eps
+            assert not v[[0, 3], k].any() or not v[[1, 2], k].any()
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -128,31 +89,6 @@ class TestSqrtPsd:
     def test_tiny_negative_clamped(self):
         s = sqrt_psd(np.diag([1.0, -1e-13]).astype(complex))
         assert s[1, 1] == 0.0
-
-
-class TestDetReal:
-    def test_scalar(self):
-        assert det_real(np.array([[3.5]])) == pytest.approx(3.5)
-
-    def test_singular(self):
-        assert det_real(np.array([[0.0, 0.0], [1.0, 0.0]])) == pytest.approx(0.0)
-
-    def test_hand_value(self):
-        assert det_real(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(3.0)
-
-    def test_against_cofactor_expansion(self):
-        rng = np.random.default_rng(5)
-        for dim in (1, 2, 3):
-            for _ in range(30):
-                m = rng.standard_normal((dim, dim))
-                expected = cofactor_det(m)
-                assert det_real(m) == pytest.approx(expected, rel=1e-12, abs=1e-13)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            det_real(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            det_real(np.array([[np.nan]]))
 
 
 class TestExpmAntihermitian:

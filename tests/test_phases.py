@@ -28,10 +28,12 @@ from tfim_phases.states import (
 from tfim_phases.sweep import SweepConfig, run_sweep
 
 from oracles import (
+    commutator,
     evolve,
     product_form_holonomy,
     product_form_interferometric,
     product_form_uhlmann,
+    sqrt_psd,
 )
 
 THETA = np.pi / 3
@@ -77,24 +79,6 @@ def quadrature_interferometric_phase(rho, theta, n_panels=128, fd_step=1e-3):
     rates = total / (2 * np.pi)
     overlaps = np.einsum("in,ij,jn->n", v.conj(), u(0.0).conj().T @ u(2 * np.pi), v)
     return float(np.angle(np.sum(p * overlaps * np.exp(-2 * np.pi * rates))))
-
-
-def sqrt_psd(m):
-    """Hermitian PSD square root; eigenvalues in [-1e-12, 0) are clamped to 0."""
-    w, v = hermitian_eigen(m)
-    if w[0] < -1e-12:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -1.0e-12")
-    s = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    return (s + s.conj().T) / 2
-
-
-def commutator(a, b):
-    """AB - BA."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
 
 
 def commutator_connection(rho_phi, rank_eps=1e-8):

@@ -15,10 +15,8 @@ from tfim_phases.states import (
     two_site_state,
 )
 
-from oracles import evolve
+from oracles import SIGMA_X, SIGMA_Y, evolve
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
@@ -47,6 +45,10 @@ class TestSingleSiteState:
         assert np.linalg.eigvalsh(single_site_state(1.0 + 5e-10)).min() >= 0
         with pytest.raises(ValueError):
             single_site_state(1.01)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="^m = nan"):
+            single_site_state(np.nan)
 
 
 class TestTwoSiteState:

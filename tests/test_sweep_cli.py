@@ -190,6 +190,14 @@ class TestRunSweep:
         assert len(calls) == 1 + len(thetas)
         assert calls == [thetas] + [(theta,) for theta in thetas]
 
+    def test_nan_correlator_row_is_numerical_error(self, monkeypatch):
+        # the correlator bounds reject a NaN magnetization, naming the field
+        monkeypatch.setattr(ising, "magnetization", lambda params: np.nan)
+        config = small_config(lambda_min=0.5, lambda_max=0.5, lambda_steps=1)
+        assert [x.status for x in run_sweep(config)] == ["numerical_error"]
+        with pytest.raises(ValueError, match="^m = nan outside"):
+            compute_phases(0.5, 1, THETA)
+
     def test_unwrap_disabled_copies_principal(self):
         config = small_config(unwrap=False)
         for rec in run_sweep(config):
@@ -606,6 +614,16 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3
         ET.parse(svg)
+
+    def test_config_kinds_both_matches_flag(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("kinds = both\n")
+        args = ["--lam-min", "0.5", "--lam-max", "1.5", "--lam-steps", "2", "--r", "1",
+                "--theta", str(THETA), "--loop-steps", "64"]
+        assert main(["sweep", "--config", str(cfg), *args,
+                     "--out", str(tmp_path / "file.csv")]) == 0
+        assert main(["sweep", "--kinds", "both", *args, "--out", str(tmp_path / "flag.csv")]) == 0
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
 
     def test_sweep_flags_override_config(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
