@@ -225,23 +225,20 @@ def _series(lo, hi, lam):
     return g0 * np.concatenate([inward, [1.0], outward])
 
 
-def _elements(n, params):
-    """G_k for k = -n .. n, at index k + n."""
-    if n > MAX_SEPARATION:
-        raise ValueError(f"|r| must be <= 1e4, got {n}")
-    if params.lam > 1:
-        return _series(-n - 1, n - 1, 1 / params.lam)[::-1]
-    return _series(-n, n, params.lam)
-
-
 # ---------------------------------------------------------------------------
 # thermodynamic-limit observables
 # ---------------------------------------------------------------------------
 
-def toeplitz_element(r: int, params: CouplingRatio) -> float:
-    """Toeplitz element G_r; G_0 is the magnetization."""
-    n = max(abs(int(r)), 1)
-    return float(_elements(n, params)[r + n])
+def toeplitz_element(k, params: CouplingRatio):
+    """G_k of an integer k (a float), or of each entry of an integer array k (an
+    array), from one batch over |k| <= max|k|; G_0 is the magnetization."""
+    ks = np.asarray(k)
+    n = max(int(np.abs(ks).max(initial=0)), 1)
+    if n > MAX_SEPARATION:
+        raise ValueError(f"|r| must be <= 1e4, got {n}")
+    g = (_series(-n - 1, n - 1, 1 / params.lam)[::-1] if params.lam > 1
+         else _series(-n, n, params.lam))
+    return g[ks + n] if ks.ndim else float(g[ks + n])
 
 
 def magnetization(params: CouplingRatio) -> float:
@@ -250,16 +247,16 @@ def magnetization(params: CouplingRatio) -> float:
 
 
 def correlators(r: int, params: CouplingRatio) -> Correlators:
-    """Magnetization plus all three correlators at separation r, from one set of G_k.
+    """Magnetization plus all three correlators at separation r, from one batch of G_k.
 
-    c_xx and c_yy are the determinants of the r x r Toeplitz matrices with
-    entry (i, j) = G_{j-i-1} and G_{i-j+1}; c_zz = m^2 - G_r G_{-r}.
+    m = G_0; c_xx and c_yy are the determinants of the r x r Toeplitz
+    matrices with entry (i, j) = G_{j-i-1} and G_{i-j+1}; c_zz = m^2 - G_r G_{-r}.
     """
     require_integer("r", r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    g = _elements(r, params)
-    m = magnetization(params)
+    g = toeplitz_element(np.arange(-r, r + 1), params)  # G_k at index k + r
+    m = float(g[r])
     # read-only strided views of g, as scipy.linalg.toeplitz builds them but
     # with no copy: entry (i, j) = g[r-1-i+j] = G_{j-i-1} and g[r+1+i-j] = G_{i-j+1}
     step = g.strides[0]

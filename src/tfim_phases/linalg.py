@@ -40,7 +40,7 @@ def hermitian_eigen(m):
     """
     m = np.asarray(m, dtype=complex)
     defect = float(np.abs(m - m.conj().T).max())
-    if defect > _HERMITICITY_TOL:
+    if not defect <= _HERMITICITY_TOL:  # NaN fails
         raise ValueError(f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
                          f"> {_HERMITICITY_TOL:.1e}")
     blocks, inverse = _PARITY_ORDER[m.shape[0]]
@@ -61,7 +61,7 @@ def expm_antihermitian(a, s=1.0):
     """
     a = np.asarray(a, dtype=complex)
     defect = float(np.abs(a + _dagger(a)).max())
-    if defect > _ANTIHERMITICITY_TOL:
+    if not defect <= _ANTIHERMITICITY_TOL:  # NaN fails
         raise ValueError(f"matrix is not anti-Hermitian: max|A + A^dag| = {defect:.3e} "
                          f"> {_ANTIHERMITICITY_TOL:.1e}")
     w, v = np.linalg.eigh(1j * (a - _dagger(a)) / 2)

@@ -89,8 +89,8 @@ def wrap_angle(x):
 
 def _phases(amplitudes):
     """arg of each amplitude of a stack; raises the VisibilityError of the
-    smallest magnitude if any is below _VISIBILITY_EPS."""
-    vanishing = [x for x in np.abs(amplitudes).tolist() if x < _VISIBILITY_EPS]
+    smallest magnitude if any is below _VISIBILITY_EPS or NaN."""
+    vanishing = [x for x in np.abs(amplitudes).tolist() if not x >= _VISIBILITY_EPS]
     if vanishing:
         raise VisibilityError(min(vanishing), _VISIBILITY_EPS)
     return np.angle(amplitudes)
@@ -128,7 +128,7 @@ def single_site_phase_closed(m, theta):
     value saturates to +/-(pi/2)*sign(m).  Agrees with the spectral value
     modulo pi.
     """
-    if abs(m) > 1:
+    if not abs(m) <= 1:
         raise ValueError(f"|m| = {abs(m)} exceeds 1")
     half_solid_angle = np.pi * (1 - np.cos(theta))
     return float(np.arctan(m * np.tan(half_solid_angle)))
@@ -147,7 +147,7 @@ def _loop_start(rho, theta, rank_eps):
     A 1-D theta gives both as (len(theta), dim, dim) stacks.
     """
     p, v = hermitian_eigen(rho)
-    if p[0] < rank_eps:
+    if not p[0] >= rank_eps:  # NaN fails
         raise RankDeficientError(float(p[0]), rank_eps)
     dim = len(p)
     w = loop_unitary(0.0, theta, dim) @ v

@@ -75,8 +75,9 @@ def two_site_state(c: Correlators) -> np.ndarray:
     rho[3, 3] = (1 - 2 * c.m + c.c_zz) / 4
     rho[0, 3] = rho[3, 0] = (c.c_xx - c.c_yy) / 4
     rho[1, 2] = rho[2, 1] = (c.c_xx + c.c_yy) / 4
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < _PSD_FLOOR:
+    # eigvalsh of a NaN entry gives garbage or raises, so NaN is carried past it
+    min_eig = float(np.linalg.eigvalsh(rho)[0]) if np.isfinite(rho).all() else np.nan
+    if not min_eig >= _PSD_FLOOR:
         raise UnphysicalStateError(
             f"correlator set gives min eigenvalue {min_eig:.3e} < {_PSD_FLOOR:g}"
         )

@@ -162,7 +162,7 @@ def run_sweep(config: SweepConfig, workers: int = 1):
     also when r_list or theta_list repeats a value.  With unwrap off, each
     row is a family of its own: np.unwrap of one value returns it.
     """
-    if workers < 1:
+    if not workers >= 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     couplings = [(float(lam), int(r)) for r in sorted(config.r_list)
                  for lam in config.lambda_grid()]

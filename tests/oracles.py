@@ -8,6 +8,10 @@
   full dense 2^n Hamiltonian and ``scipy.linalg.eigh``, against which the
   symmetry-reduced solver of ``ising.exact_diag_correlators`` is pinned.  It
   costs about 8 s at n = 12, so the suite uses it up to n = 10.
+* ``finite_ring_elements`` and ``free_fermion_ring_correlators``: the
+  exact correlators of the even-parity ground state of the n-site ring from
+  its antiperiodic free fermions, with a Toeplitz layout of their own,
+  against which ``ising.exact_diag_correlators`` is pinned to round-off.
 * ``pair_spectrum``, ``pair_amplitude`` and ``single_amplitude``: the
   closed forms of the two-site spectrum and of both interferometric
   amplitudes, fixed by the symmetries of the X-shaped state (it commutes
@@ -76,6 +80,34 @@ def dense_exact_diag_correlators(n_sites, lam):
     ising.check_chain_size(n_sites)
     w, v = scipy.linalg.eigh(dense_chain_hamiltonian(n_sites, lam), subset_by_index=[0, 1])
     return ising._ground_correlators(n_sites, w, v)
+
+
+def finite_ring_elements(n_sites, lam, k):
+    """G_k^(N) = (1/N) sum_q [cos(q k) + lam cos(q (k+1))] / eps(q) at each
+    entry of the integer array k, over the antiperiodic momenta
+    q = pi (2j + 1) / N of the even-parity sector (Lieb, Schultz & Mattis,
+    Ann. Phys. 16, 407 (1961)), with eps(q) = |1 + lam e^{iq}|."""
+    q = np.pi * (2 * np.arange(n_sites) + 1) / n_sites
+    eps = np.sqrt(1 + 2 * lam * np.cos(q) + lam * lam)
+    k = np.asarray(k)[..., None]
+    return np.mean((np.cos(q * k) + lam * np.cos(q * (k + 1))) / eps, axis=-1)
+
+
+def free_fermion_ring_correlators(n_sites, lam):
+    """{r: Correlators} of the even-parity ground state of the n-site ring,
+    r = 1 .. n_sites // 2: m = G_0, c_xx = det[G_{j-i-1}], c_yy = det[G_{i-j+1}]
+    over 0 <= i, j < r, and c_zz = m^2 - G_r G_{-r}."""
+    m = float(finite_ring_elements(n_sites, lam, 0))
+    out = {}
+    for r in range(1, n_sites // 2 + 1):
+        i, j = np.indices((r, r))
+        g_r, g_minus_r = finite_ring_elements(n_sites, lam, [r, -r])
+        out[r] = ising.Correlators(
+            r=r, m=m,
+            c_xx=float(np.linalg.det(finite_ring_elements(n_sites, lam, j - i - 1))),
+            c_yy=float(np.linalg.det(finite_ring_elements(n_sites, lam, i - j + 1))),
+            c_zz=float(m * m - g_r * g_minus_r))
+    return out
 
 
 def pair_spectrum(c):

@@ -29,6 +29,7 @@ OUTPUTS = {
         "critical_window_delta_gamma_unwrapped.svg",
         "critical_window_delta_gamma_u_unwrapped.svg",
     },
+    "05_critical_singularity.py": set(),
 }
 
 

@@ -22,7 +22,12 @@ from tfim_phases.ising import (
     toeplitz_element,
 )
 
-from oracles import dense_chain_hamiltonian, dense_exact_diag_correlators
+from oracles import (
+    dense_chain_hamiltonian,
+    dense_exact_diag_correlators,
+    finite_ring_elements,
+    free_fermion_ring_correlators,
+)
 
 
 def dispersion(phi, lam):
@@ -213,7 +218,7 @@ class TestToeplitzElements:
     def test_table(self):
         # the elements G_k, k = -3 .. 3, that correlators(3, .) uses
         params = CouplingRatio(0.8)
-        table = ising._elements(3, params)
+        table = toeplitz_element(np.arange(-3, 4), params)
         assert table.shape == (7,)
         assert table[3] == magnetization(params)
         assert abs(table[4] - toeplitz_element(1, params)) <= 1e-15
@@ -221,6 +226,37 @@ class TestToeplitzElements:
     def test_separation_cap(self):
         with pytest.raises(ValueError):
             toeplitz_element(10001, CouplingRatio(1.0))
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+    def test_one_batch_per_call(self, monkeypatch, lam):
+        # correlators takes every element it needs, m = G_0 included, from
+        # one batch; magnetization is one batch too
+        calls = []
+        series = ising._series
+
+        def counting_series(lo, hi, lam):
+            calls.append((lo, hi))
+            return series(lo, hi, lam)
+
+        monkeypatch.setattr(ising, "_series", counting_series)
+        params = CouplingRatio(lam)
+        for r in (1, 10):
+            calls.clear()
+            correlators(r, params)
+            assert len(calls) == 1, (r, calls)
+        calls.clear()
+        magnetization(params)
+        assert len(calls) == 1, calls
+
+    def test_array_argument(self):
+        params = CouplingRatio(1.3)
+        ks = np.array([[-4, 0], [2, 7]])
+        g = toeplitz_element(ks, params)
+        assert g.shape == ks.shape
+        assert g[0, 1] == magnetization(params)
+        assert isinstance(toeplitz_element(np.int64(3), params), float)
+        with pytest.raises(ValueError, match="1e4"):
+            toeplitz_element(np.array([0, -10001]), params)
 
 
 class TestBatchedQuadrature:
@@ -232,7 +268,7 @@ class TestBatchedQuadrature:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.98, 1.0, 1.02, 1.5, 3.0])
     def test_matches_recursive_oracle(self, lam):
         params = CouplingRatio(lam)
-        batch = ising._elements(101, params)
+        batch = toeplitz_element(np.arange(-101, 102), params)
         for k in range(-101, 102):
             assert abs(batch[k + 101] - recursive_toeplitz(k, lam)) <= 1e-15, k
         assert abs(magnetization(params) - float(mpmath_toeplitz(0, lam))) <= 1e-15
@@ -262,7 +298,7 @@ class TestClosedForm:
         # the elements of one batch, as correlators(101, .) uses them, and
         # each element alone
         params = CouplingRatio(lam)
-        batch = ising._elements(101, params)
+        batch = toeplitz_element(np.arange(-101, 102), params)
         for k in range(-101, 102):
             exact = mpmath_toeplitz(k, lam)
             assert abs(batch[k + 101] - exact) <= 3e-15, k
@@ -381,7 +417,7 @@ class TestCorrelators:
     def test_toeplitz_layout_matches_scipy(self, r, lam):
         # c_xx = det[G_{j-i-1}], c_yy = det[G_{i-j+1}], built as scipy builds them
         params = CouplingRatio(lam)
-        g = ising._elements(r, params)
+        g = toeplitz_element(np.arange(-r, r + 1), params)
         c = correlators(r, params)
         assert c.c_xx == np.linalg.det(scipy.linalg.toeplitz(g[r - 1::-1], g[r - 1:2 * r - 1]))
         assert c.c_yy == np.linalg.det(scipy.linalg.toeplitz(g[r + 1:], g[r + 1:1:-1]))
@@ -396,15 +432,15 @@ class TestCorrelators:
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
     def test_non_finite_element_rejected_by_its_field(self, monkeypatch):
         # at r = 2, G_{-1} (index 1 of k = -2 .. 2) enters c_xx alone
-        elements = ising._elements
+        series = ising._series
 
-        def nan_g_minus_one(n, params):
-            g = elements(n, params)
-            if n == 2:
+        def nan_g_minus_one(lo, hi, lam):
+            g = series(lo, hi, lam)
+            if (lo, hi) == (-2, 2):
                 g[1] = np.nan
             return g
 
-        monkeypatch.setattr(ising, "_elements", nan_g_minus_one)
+        monkeypatch.setattr(ising, "_series", nan_g_minus_one)
         with pytest.raises(ValueError, match="^c_xx = nan outside"):
             correlators(2, CouplingRatio(0.5))
 
@@ -522,6 +558,27 @@ class TestExactDiagOracle:
     def test_quasi_degenerate_cases_reach_two_state_average(self, n_sites, lam):
         w = np.linalg.eigvalsh(dense_chain_hamiltonian(n_sites, lam))
         assert w[1] - w[0] < ising._DEGENERACY_GAP < w[2] - w[0]
+
+    # Every gap below was a sector gap of at least 1.8e-7, so each ED state is
+    # the even sector's alone; the largest deviation was 3.4e-15 (n = 16).
+    @pytest.mark.parametrize("n_sites,lam", [
+        *((n, lam) for n in (4, 6, 8, 10, 12, 14) for lam in (0.0, 0.3, 0.5, 1.0, 1.5, 3.0)),
+        (16, 1.0)])
+    def test_matches_free_fermion_ring(self, n_sites, lam):
+        reduced = exact_diag_correlators(n_sites, lam)
+        exact = free_fermion_ring_correlators(n_sites, lam)
+        assert reduced.keys() == exact.keys()
+        for r, c in reduced.items():
+            for q in ("m", "c_xx", "c_yy", "c_zz"):
+                assert abs(getattr(c, q) - getattr(exact[r], q)) <= 1e-12, (r, q)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5])
+    def test_free_fermion_ring_reaches_thermodynamic_limit(self, lam):
+        # off criticality G_k^(N) approaches G_k exponentially in N; measured
+        # 1.2e-16 (lam = 0.5) and 2.2e-16 (lam = 1.5) at N = 10^4
+        ks = np.arange(-50, 51)
+        assert np.abs(finite_ring_elements(10**4, lam, ks)
+                      - toeplitz_element(ks, CouplingRatio(lam))).max() <= 1e-14
 
     @pytest.mark.parametrize("lam", [0.5, 1.5])
     def test_monotone_approach_up_to_sixteen_sites(self, lam):

@@ -61,6 +61,11 @@ class TestHermitianEigen:
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eigen(bad)
 
+    def test_nan_rejected_by_the_hermiticity_check(self):
+        # not by eigh's LinAlgError further on
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian: .* = nan >"):
+            hermitian_eigen(np.full((4, 4), np.nan))
+
 
 class TestSqrtPsd:
     def test_identity(self):
@@ -111,6 +116,10 @@ class TestExpmAntihermitian:
     def test_rejects_non_antihermitian(self):
         with pytest.raises(ValueError, match="anti-Hermitian"):
             expm_antihermitian(SIGMA_Z)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"^matrix is not anti-Hermitian: .* = nan >"):
+            expm_antihermitian(np.full((2, 2), np.nan))
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_stack_equals_matrix_calls(self, dim):

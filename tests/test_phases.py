@@ -249,6 +249,11 @@ class TestInterferometricPhase:
         assert str(exc.value).endswith(f"< {_VISIBILITY_EPS:g}")
         assert str(VisibilityError(5e-10, 1e-9)).endswith("< 1e-09")
 
+    def test_nan_amplitude_is_vanishing(self):
+        # a NaN would otherwise reach the CSV as nan
+        with pytest.raises(VisibilityError, match="nan"):
+            phases._phases(np.array([0.5, np.nan]))
+
 
 class TestSingleSitePhaseClosed:
     @pytest.mark.parametrize("m,theta", [(0.8, 0.0), (0.8, np.pi / 2), (0.0, 1.1)])
@@ -271,6 +276,10 @@ class TestSingleSitePhaseClosed:
     def test_domain(self):
         with pytest.raises(ValueError):
             single_site_phase_closed(1.5, 1.0)
+
+    def test_nan_outside_domain(self):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            single_site_phase_closed(np.nan, 1.0)
 
 
 def delta_gamma_at(lam, r, theta):
@@ -332,6 +341,14 @@ class TestUhlmannConnection:
     def test_rank_deficiency_rejected(self):
         with pytest.raises(RankDeficientError):
             uhlmann_connection(single_site_state(1.0))
+
+    def test_nan_eigenvalue_fails_the_rank_check(self, monkeypatch):
+        # hermitian_eigen rejects a NaN matrix itself, so the NaN spectrum
+        # is handed to the rank check directly
+        monkeypatch.setattr(phases, "hermitian_eigen", lambda rho: linalg.HermitianEigen(
+            np.array([np.nan, 0.2, 0.3, 0.5]), np.eye(4, dtype=complex)))
+        with pytest.raises(RankDeficientError, match="min eigenvalue nan"):
+            phases._loop_start(np.eye(4) / 4, 0.5, 1e-8)
 
     def test_analytic_derivative_matches_finite_difference(self):
         rho = model_pair(1.2)

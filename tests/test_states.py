@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -85,6 +87,14 @@ class TestTwoSiteState:
         c = Correlators(r=1, m=0.0, c_xx=0.99, c_yy=-0.99, c_zz=0.0)
         with pytest.raises(UnphysicalStateError):
             two_site_state(c)
+
+    @pytest.mark.parametrize("field", ["m", "c_xx", "c_yy", "c_zz"])
+    def test_nan_correlator_is_unphysical(self, field):
+        # Correlators rejects NaN itself; eigvalsh of a NaN entry gives
+        # garbage eigenvalues or raises LinAlgError
+        values = {"m": 0.3, "c_xx": 0.1, "c_yy": 0.0, "c_zz": 0.2, field: np.nan}
+        with pytest.raises(UnphysicalStateError, match="min eigenvalue nan"):
+            two_site_state(SimpleNamespace(r=1, **values))
 
     def test_partial_trace_reduces_to_single_site(self):
         c = correlators(1, CouplingRatio(1.3))

@@ -110,6 +110,14 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="workers"):
                 run_sweep(small_config(), workers=workers)
 
+    def test_nan_workers_rejected_before_any_point(self, monkeypatch):
+        def no_point(*args, **kwargs):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(sweep, "compute_phases", no_point)
+        with pytest.raises(ValueError, match="workers must be >= 1, got nan"):
+            run_sweep(small_config(), workers=float("nan"))
+
     def test_pool_has_at_most_one_worker_per_point(self, monkeypatch):
         # a fork-based pool starts all of its workers at once, so the count is
         # read from a stand-in executor that runs the points in this process
@@ -191,8 +199,15 @@ class TestRunSweep:
         assert calls == [thetas] + [(theta,) for theta in thetas]
 
     def test_nan_correlator_row_is_numerical_error(self, monkeypatch):
-        # the correlator bounds reject a NaN magnetization, naming the field
-        monkeypatch.setattr(ising, "magnetization", lambda params: np.nan)
+        # the correlator bounds reject a NaN magnetization G_0, naming the field
+        series = ising._series
+
+        def nan_g0(lo, hi, lam):
+            g = series(lo, hi, lam)
+            g[-lo] = np.nan
+            return g
+
+        monkeypatch.setattr(ising, "_series", nan_g0)
         config = small_config(lambda_min=0.5, lambda_max=0.5, lambda_steps=1)
         assert [x.status for x in run_sweep(config)] == ["numerical_error"]
         with pytest.raises(ValueError, match="^m = nan outside"):
