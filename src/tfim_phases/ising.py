@@ -107,8 +107,10 @@ _MILLER_LOG_DECAY = 37.0
 
 def require_integer(name, value):
     """Raise ValueError naming the field unless value is an integer, that is,
-    unless operator.index accepts it (so 2.0 and "2" are refused)."""
+    a non-bool that operator.index accepts (so 2.0, "2" and True are refused)."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -233,6 +235,8 @@ def toeplitz_element(k, params: CouplingRatio):
     """G_k of an integer k (a float), or of each entry of an integer array k (an
     array), from one batch over |k| <= max|k|; G_0 is the magnetization."""
     ks = np.asarray(k)
+    if not np.issubdtype(ks.dtype, np.integer):
+        raise ValueError(f"k must be an integer or an integer array, got {k!r}")
     n = max(int(np.abs(ks).max(initial=0)), 1)
     if n > MAX_SEPARATION:
         raise ValueError(f"|r| must be <= 1e4, got {n}")

@@ -19,10 +19,11 @@ eigenvectors the loop carries to w = U(0) v:
   V_inf = e^{2 pi K} e^{2 pi (A(0) - K)}, the matrix at first order in the
   step and the phase at second order; the phase of V_inf gives the step error.
 
-Each kernel takes theta (the Uhlmann kernel as LoopSpec.theta) as a float,
-or as a sequence evaluated as one stack of loops from the one decomposition
-into a tuple of per-theta values.  Every failure is raised, for a stack as
-for a float: a VisibilityError if any amplitude or trace vanishes, naming it.
+Each kernel follows numpy's shape rule in theta (the Uhlmann kernel's
+LoopSpec.theta): a float gives floats, and a 1-D sequence, evaluated as one
+stack of loops from the one decomposition, gives arrays of its length.
+Every failure is raised, for a stack as for a float: a VisibilityError if
+any amplitude or trace vanishes, naming the smallest.
 
 Both deviations delta_gamma and delta_gamma_u compare the two-site phase
 against twice the single-site phase, each computed with the same code path
@@ -90,7 +91,7 @@ def wrap_angle(x):
 def _phases(amplitudes):
     """arg of each amplitude of a stack; raises the VisibilityError of the
     smallest magnitude if any is below _VISIBILITY_EPS or NaN."""
-    vanishing = [x for x in np.abs(amplitudes).tolist() if not x >= _VISIBILITY_EPS]
+    vanishing = [x for x in np.abs(amplitudes).ravel().tolist() if not x >= _VISIBILITY_EPS]
     if vanishing:
         raise VisibilityError(min(vanishing), _VISIBILITY_EPS)
     return np.angle(amplitudes)
@@ -100,23 +101,21 @@ def interferometric_phase_from_eigen(p, v, theta):
     """Interferometric phase from an explicit spectral decomposition.
 
     <w_n|K|w_n> is a sum over the diagonal of K weighted by |w_n|^2; these
-    weights sum to 1, so <w_n|e^{2 pi K}|w_n> is the full-turn sign.  A theta
-    sequence is evaluated as one stack and gives a tuple with one phase per
-    theta; if any theta's amplitude vanishes, the VisibilityError names it.
+    weights sum to 1, so <w_n|e^{2 pi K}|w_n> is the full-turn sign.  The
+    phase has theta's shape: a float for a float, an array for a 1-D stack;
+    if any theta's amplitude vanishes, the VisibilityError names the smallest.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=complex)
     dim = v.shape[0]
-    weights = np.abs(loop_unitary(0.0, np.atleast_1d(theta), dim) @ v) ** 2
+    weights = np.abs(loop_unitary(0.0, theta, dim) @ v) ** 2
     rates = generator_diagonal(dim) @ weights
-    amplitudes = FULL_TURN_SIGN[dim] * np.sum(p * np.exp(-2 * np.pi * rates), axis=-1)
-    gammas = _phases(amplitudes).tolist()
-    return tuple(gammas) if np.ndim(theta) else gammas[0]
+    return _phases(FULL_TURN_SIGN[dim] * np.sum(p * np.exp(-2 * np.pi * rates), axis=-1))
 
 
 def interferometric_phase(rho, theta):
-    """Interferometric phase of a 2x2 or 4x4 density matrix along the loop
-    (a tuple of phases for a theta sequence, as from the eigen form)."""
+    """Interferometric phase of a 2x2 or 4x4 density matrix along the loop,
+    shaped like theta, as from the eigen form."""
     eig = hermitian_eigen(rho)
     return interferometric_phase_from_eigen(eig.values, eig.vectors, theta)
 
@@ -190,30 +189,26 @@ def uhlmann_holonomy(rho, loop: LoopSpec, rank_eps=RANK_EPS):
 
 @dataclass(frozen=True)
 class UhlmannResult:
-    phase: float
-    convergence_estimate: float
-    steps: int
+    phase: float | np.ndarray
+    convergence_estimate: float | np.ndarray
 
 
-def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult | tuple:
+def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult:
     """Phase gamma_N = arg Tr[rho(0; theta) V(2pi)] at N = loop.steps, with its
     step error |gamma_N - gamma_inf| against the phase of the limit V_inf.
 
-    A sequence loop.theta is evaluated as one stack, from one decomposition
-    of rho, and gives a tuple with one UhlmannResult per theta; the rank,
-    anti-Hermiticity and visibility checks hold for the whole stack, and a
-    VisibilityError names the smallest trace of the first of V(2pi) and
-    V_inf that vanishes.
+    Both fields have loop.theta's shape: floats for a float, arrays for a
+    sequence, which is evaluated as one stack from one decomposition of rho.
+    The rank, anti-Hermiticity and visibility checks hold for the whole
+    stack, and a VisibilityError names the smallest trace of the first of
+    V(2pi) and V_inf that vanishes.
     """
-    base, a0 = _loop_start(rho, np.atleast_1d(loop.theta), rank_eps)
+    base, a0 = _loop_start(rho, loop.theta, rank_eps)
     dim = a0.shape[-1]
     v_inf = FULL_TURN_SIGN[dim] * expm_antihermitian(a0 - loop_generator(dim), 2 * np.pi)
     gamma_n, gamma_inf = (_phases(np.trace(base @ v, axis1=-2, axis2=-1))
                           for v in (_holonomy_matrix(a0, loop.steps), v_inf))
-    step_errors = np.abs(wrap_angle(gamma_n - gamma_inf))
-    results = [UhlmannResult(g, e, loop.steps)
-               for g, e in zip(gamma_n.tolist(), step_errors.tolist())]
-    return tuple(results) if isinstance(loop.theta, tuple) else results[0]
+    return UhlmannResult(gamma_n, np.abs(wrap_angle(gamma_n - gamma_inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +257,18 @@ def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
 
     columns, steps_used = {}, 0  # PhaseRecord fields, one entry per theta
     if "interferometric" in kinds:
-        g_pair, g_single = (np.array(interferometric_phase(x, loop.theta)) for x in (pair, single))
+        g_pair, g_single = (interferometric_phase(x, loop.theta) for x in (pair, single))
         columns.update(gamma_int_pair=g_pair, gamma_int_single=g_single,
                        delta_gamma=wrap_angle(g_pair - 2 * g_single))
     if "uhlmann" in kinds:
         try:
-            results = uhlmann_phase(pair, loop, rank_eps), uhlmann_phase(single, loop, rank_eps)
+            u_pair, u_single = (uhlmann_phase(x, loop, rank_eps) for x in (pair, single))
         except RankDeficientError as exc:
             raise RankDeficientError(exc.min_eigenvalue, exc.rank_eps, lam=lam) from exc
-        u_pair, u_single = (np.array([x.phase for x in res]) for res in results)
-        step_error = np.maximum(*([x.convergence_estimate for x in res] for res in results))
-        columns.update(gamma_u_pair=u_pair, gamma_u_single=u_single,
-                       delta_gamma_u=wrap_angle(u_pair - 2 * u_single),
-                       convergence_estimate=step_error)
+        columns.update(gamma_u_pair=u_pair.phase, gamma_u_single=u_single.phase,
+                       delta_gamma_u=wrap_angle(u_pair.phase - 2 * u_single.phase),
+                       convergence_estimate=np.maximum(u_pair.convergence_estimate,
+                                                       u_single.convergence_estimate))
         steps_used = loop_steps
     records = tuple(PhaseRecord(**dict(zip(columns, row)), steps_used=steps_used)
                     for row in zip(*(col.tolist() for col in columns.values())))

@@ -255,8 +255,18 @@ class TestToeplitzElements:
         assert g.shape == ks.shape
         assert g[0, 1] == magnetization(params)
         assert isinstance(toeplitz_element(np.int64(3), params), float)
+        assert toeplitz_element(np.array(2), params) == toeplitz_element(2, params)
+        assert list(toeplitz_element(np.array([1, 2], dtype=np.int32), params)) == [
+            toeplitz_element(1, params), toeplitz_element(2, params)]
         with pytest.raises(ValueError, match="1e4"):
             toeplitz_element(np.array([0, -10001]), params)
+
+    @pytest.mark.parametrize("k", [2.0, np.array([1.0, 2.0]), True, np.True_,
+                                   np.array([True, False])],
+                             ids=["float", "float_array", "bool", "numpy_bool", "bool_array"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            toeplitz_element(k, CouplingRatio(0.5))
 
 
 class TestBatchedQuadrature:
@@ -461,7 +471,8 @@ class TestCorrelators:
         with pytest.raises(ValueError):
             correlators(0, CouplingRatio(1.0))
 
-    @pytest.mark.parametrize("r", [1.5, 2.0, "2", None])
+    @pytest.mark.parametrize("r", [1.5, 2.0, "2", None, True,
+                                   pytest.param(np.True_, id="numpy_bool")])
     def test_non_integer_separation_rejected(self, r):
         with pytest.raises(ValueError, match="r must be an integer"):
             correlators(r, CouplingRatio(1.0))

@@ -238,7 +238,7 @@ class TestLoopSpec:
         with pytest.raises(ValueError):
             LoopSpec(theta=3.5)
 
-    @pytest.mark.parametrize("steps", [64.5, 64.0, "64", None])
+    @pytest.mark.parametrize("steps", [64.5, 64.0, "64", None, True])
     def test_non_integer_steps_rejected(self, steps):
         with pytest.raises(ValueError, match="steps must be an integer"):
             LoopSpec(theta=np.pi / 3, steps=steps)
@@ -258,8 +258,11 @@ class TestLoopSpec:
             loop = LoopSpec(theta=theta, steps=64)
             assert loop == expected
             assert type(loop.theta) is tuple and all(type(t) is float for t in loop.theta)
-            assert uhlmann_phase(rho, loop) == uhlmann_phase(rho, expected)
-            assert interferometric_phase(rho, theta) == interferometric_phase(rho, thetas)
+            got, want = uhlmann_phase(rho, loop), uhlmann_phase(rho, expected)
+            assert np.array_equal(got.phase, want.phase)
+            assert np.array_equal(got.convergence_estimate, want.convergence_estimate)
+            assert np.array_equal(interferometric_phase(rho, theta),
+                                  interferometric_phase(rho, thetas))
             assert (compute_phases(1.5, 1, theta, loop_steps=64)
                     == compute_phases(1.5, 1, thetas, loop_steps=64))
 

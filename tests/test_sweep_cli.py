@@ -385,7 +385,7 @@ class TestConfigValidation:
             raise AssertionError("a grid point ran")
 
         monkeypatch.setattr(sweep, "compute_phases", no_point)
-        for bad in (2.5, 64.5, 20.0, "20", None):
+        for bad in (2.5, 64.5, 20.0, "20", None, True, np.True_):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 run_sweep(SweepConfig(**{field: wrap(bad)}))
 
