@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficientError, VisibilityError
-from .ising import CouplingRatio, correlators
+from .ising import CouplingRatio, Correlators, correlators
 from .linalg import expm_antihermitian, hermitian_eigen, unitary_power
 from .states import (
     FULL_TURN_SIGN,
@@ -187,10 +187,17 @@ def uhlmann_holonomy(rho, loop: LoopSpec, rank_eps=RANK_EPS):
     return _holonomy_matrix(a0, loop.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UhlmannResult:
     phase: float | np.ndarray
     convergence_estimate: float | np.ndarray
+
+    def __eq__(self, other):
+        """True when both fields are equal, as floats or as whole arrays."""
+        if not isinstance(other, UhlmannResult):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("phase", "convergence_estimate"))
 
 
 def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult:
@@ -234,7 +241,8 @@ class PhaseRecord:
 
 
 def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
-                   quad_tol=CouplingRatio.quad_tol, rank_eps=RANK_EPS) -> PhaseRecord | tuple:
+                   quad_tol=CouplingRatio.quad_tol, rank_eps=RANK_EPS,
+                   corr: Correlators | None = None) -> PhaseRecord | tuple:
     """Evaluate the requested phase kinds at one coupling point (lambda, r)
     for a polar angle theta, giving one PhaseRecord, or for a sequence of
     them as one stack, giving a tuple with one PhaseRecord per theta whose
@@ -245,14 +253,18 @@ def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
     vanishing visibility, which belongs to one theta of a stack); sweep
     drivers map errors to status rows.  kinds, theta, loop_steps and rank_eps
     are checked before any work, for every kind.  Each requested kind
-    decomposes each state once.
+    decomposes each state once.  corr gives the Correlators of (lam, r), as
+    a sweep computes them for all its couplings at once; without it they
+    are computed here, from lam, r and quad_tol.
     """
     if not kinds or any(k not in KINDS for k in kinds):
         raise ValueError(f"kinds must be a non-empty subset of {KINDS}, got {tuple(kinds)}")
     loop = LoopSpec(theta=np.atleast_1d(theta), steps=loop_steps)
     if not rank_eps > 0:
         raise ValueError(f"rank_eps must be > 0, got {rank_eps}")
-    c = correlators(r, CouplingRatio(lam, quad_tol))
+    if corr is not None and corr.r != r:
+        raise ValueError(f"corr holds the correlators at r = {corr.r}, not at r = {r}")
+    c = correlators(r, CouplingRatio(lam, quad_tol)) if corr is None else corr
     pair, single = two_site_state(c), single_site_state(c.m)
 
     columns, steps_used = {}, 0  # PhaseRecord fields, one entry per theta

@@ -1,8 +1,11 @@
 """Parameter sweeps over (lambda, r, theta) with CSV and SVG output.
 
-The unit of evaluation is a coupling point (lambda, r): one
-``compute_phases`` call evaluates all of the sweep's theta values there
-(and each theta again on its own if a visibility vanishes).
+The correlators of every coupling point (lambda, r) come first, from one
+G_k batch per lambda up to max(r_list), with each r's Toeplitz determinants
+stacked over lambda.  The phase kernels then run per coupling point: one
+``compute_phases`` call, given that point's correlators, evaluates all of
+the sweep's theta values there (and each theta again on its own if a
+visibility vanishes).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import ising
 from .errors import RankDeficientError, UnphysicalStateError, VisibilityError
 from .ising import MAX_SEPARATION, CouplingRatio, require_integer
 from .phases import KINDS, RANK_EPS, PhaseRecord, compute_phases
@@ -118,20 +122,21 @@ _STATUSES = {
 
 
 def _evaluate_coupling(config, coupling, thetas=None):
-    """The rows of one (lambda, r) coupling point, one per theta of the sorted
-    theta_list (or of thetas), from one compute_phases call.
+    """The rows of one (lambda, r, correlators) coupling point, one per theta
+    of the sorted theta_list (or of thetas), from one compute_phases call;
+    correlators None has compute_phases compute them.
 
     A raised error becomes the status of every row, with one exception: a
     vanishing visibility belongs to a single theta, so when a stack of
     several theta values raises VisibilityError, each theta of the coupling
     is evaluated again on its own.
     """
-    lam, r = coupling
+    lam, r, corr = coupling
     thetas = thetas or tuple(sorted(config.theta_list))
     try:
         records = compute_phases(
             lam, r, thetas, kinds=config.kinds, loop_steps=config.loop_steps,
-            quad_tol=config.quad_tol, rank_eps=config.rank_eps,
+            quad_tol=config.quad_tol, rank_eps=config.rank_eps, corr=corr,
         )
     except tuple(_STATUSES) as exc:
         if isinstance(exc, VisibilityError) and len(thetas) > 1:
@@ -140,6 +145,22 @@ def _evaluate_coupling(config, coupling, thetas=None):
         status = next(s for error, s in _STATUSES.items() if isinstance(exc, error))
         return [SweepRecord(lam, r, float(theta), status=status) for theta in thetas]
     return [SweepRecord(lam, r, float(theta), rec) for theta, rec in zip(thetas, records)]
+
+
+def _correlator_table(r_values, params):
+    """Correlators indexed [coupling][r], from one ising.correlators stack.
+
+    A stack raises if any of its entries fails, so then each coupling's row
+    is computed again on its own, as in the stack and bitwise equal to it.
+    A row that fails on its own too is all None: compute_phases then
+    computes each of its couplings and meets the error there.
+    """
+    try:
+        return ising.correlators(r_values, params)
+    except tuple(_STATUSES):
+        if len(params) == 1:
+            return [[None] * len(r_values)]
+        return [row for p in params for row in _correlator_table(r_values, [p])]
 
 
 def _unwrap_family(records, attr, target):
@@ -152,9 +173,14 @@ def _unwrap_family(records, attr, target):
 def run_sweep(config: SweepConfig, workers: int = 1):
     """Evaluate every grid point; failures become status rows, not aborts.
 
-    The unit of work is a coupling point (lambda, r): one compute_phases
-    call evaluates it for the whole sorted theta_list, so each state is built
-    once for all its theta rows.  Records come in (theta, r, lambda)
+    The correlators of every coupling point (lambda, r) are computed first,
+    in this process, by one ising.correlators call: one G_k batch per lambda
+    up to max(r_list), and for each r one determinant per Toeplitz kind over
+    the stack of all lambda.  The unit of phase work is then a coupling
+    point: one compute_phases call, given its correlators, evaluates it for
+    the whole sorted theta_list, so each state is built once for all its
+    theta rows.  A coupling whose correlators fail gets the status of that
+    error on its rows alone.  Records come in (theta, r, lambda)
     ascending order, independent of the worker count (>= 1; more than 1 runs
     a process pool, with at most one worker per coupling point).  lambda runs
     fastest, so each (theta, r) family is one run of lambda_steps records,
@@ -164,8 +190,11 @@ def run_sweep(config: SweepConfig, workers: int = 1):
     """
     if not workers >= 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    couplings = [(float(lam), int(r)) for r in sorted(config.r_list)
-                 for lam in config.lambda_grid()]
+    lams = [float(lam) for lam in config.lambda_grid()]
+    r_values = sorted(set(config.r_list))
+    table = _correlator_table(r_values, [CouplingRatio(lam, config.quad_tol) for lam in lams])
+    couplings = [(lam, int(r), row[r_values.index(r)]) for r in sorted(config.r_list)
+                 for lam, row in zip(lams, table)]
     evaluate = functools.partial(_evaluate_coupling, config)
     if workers > 1:
         # the pool forks all of its workers up front: no more than there are couplings

@@ -9,7 +9,11 @@ from one run of each on a grid plus random points:
   to max(1, energy) over lambda in [0, 50];
 * on product states delta_gamma times the squared single-site amplitude
   (the pair amplitude) is at most 1.3e-15: the phase of an amplitude a
-  carries a round-off of about eps / |a|.
+  carries a round-off of about eps / |a|;
+* rephasing the eigenvectors moves the interferometric phase by at most
+  18 eps / |a| on the pair and 8 eps / |a| on one site (r in [1, 20],
+  lambda in [0, 3], theta in [0, pi]): a unit phase factor has modulus 1
+  only to round-off, so each weight |U(0) v|^2 moves by about eps.
 """
 
 import numpy as np
@@ -24,11 +28,17 @@ from tfim_phases.ising import (
     magnetization,
     toeplitz_element,
 )
-from tfim_phases.phases import PhaseRecord, interferometric_phase, wrap_angle
+from tfim_phases.linalg import hermitian_eigen
+from tfim_phases.phases import (
+    PhaseRecord,
+    interferometric_phase,
+    interferometric_phase_from_eigen,
+    wrap_angle,
+)
 from tfim_phases.states import single_site_state, two_site_state
 from tfim_phases.sweep import SweepRecord, emit_csv, read_csv
 
-from oracles import single_amplitude
+from oracles import pair_amplitude, single_amplitude
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 EPS = np.finfo(float).eps
@@ -65,6 +75,23 @@ def test_energy_sum_rule(lam):
     energy = ground_energy_density(params)
     lhs = lam * correlators(1, params).c_xx + magnetization(params)
     assert abs(lhs - energy) <= 20 * EPS * max(1.0, energy)
+
+
+@SETTINGS
+@given(r=st.integers(1, 20), lam=st.floats(0.0, 3.0), theta=st.floats(0.0, np.pi),
+       state=st.sampled_from(["pair", "single"]),
+       angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=4, max_size=4))
+def test_interferometric_phase_is_gauge_invariant(r, lam, theta, state, angles):
+    # the phase may not depend on the phase of any eigenvector
+    c = correlators(r, CouplingRatio(lam))
+    rho, amplitude = ((two_site_state(c), pair_amplitude(c, theta)) if state == "pair"
+                      else (single_site_state(c.m), single_amplitude(c.m, theta)))
+    assume(abs(amplitude) >= MIN_VISIBILITY)
+    p, v = hermitian_eigen(rho)
+    rephased = v * np.exp(1j * np.array(angles[:len(p)]))
+    delta = wrap_angle(interferometric_phase_from_eigen(p, rephased, theta)
+                       - interferometric_phase_from_eigen(p, v, theta))
+    assert abs(delta) * abs(amplitude) <= 40 * EPS
 
 
 @SETTINGS

@@ -478,6 +478,96 @@ class TestCorrelators:
             correlators(r, CouplingRatio(1.0))
 
 
+# A stack's grid: unsorted and repeated r; lambda = 0, Miller's branch (0.3,
+# 0.6), the outward branch near 1, lambda = 1 itself, and lambda > 1
+STACK_R = (10, 1, 25, 3, 10)
+STACK_LAMBDAS = (0.0, 0.3, 0.6, 0.8, 0.95, 1.0, 1.05, 1.4, 2.5, 50.0)
+
+
+class TestCorrelatorStacks:
+    def test_shape_rule(self):
+        one, two = CouplingRatio(0.5), CouplingRatio(1.5)
+        assert isinstance(correlators(3, one), Correlators)
+        by_r = correlators([3, 1], one)
+        assert type(by_r) is tuple and [c.r for c in by_r] == [3, 1]
+        by_coupling = correlators(np.int64(3), [one, two])
+        assert type(by_coupling) is tuple and [c.r for c in by_coupling] == [3, 3]
+        table = correlators(np.array([3, 1]), (one, two))
+        assert [[c.r for c in row] for row in table] == [[3, 1], [3, 1]]
+        assert table[1] == correlators([3, 1], two)
+
+    def test_each_coupling_equals_its_own_stack(self):
+        # bitwise: the G_k batch and each determinant of a coupling do not
+        # depend on the other couplings of the stack
+        params = [CouplingRatio(lam) for lam in STACK_LAMBDAS]
+        for row, p in zip(correlators(STACK_R, params), params):
+            assert row == correlators(STACK_R, p)
+
+    def test_stack_equals_single_point_calls(self):
+        # a stack's G_k come from one batch up to max(r) = 25, a single point's
+        # up to its own r; both are within ERROR_FLOOR of the exact G_k, and
+        # on this grid they differ by at most 4.9e-16 in any correlator
+        table = correlators(STACK_R, [CouplingRatio(lam) for lam in STACK_LAMBDAS])
+        for lam, row in zip(STACK_LAMBDAS, table):
+            for r, c in zip(STACK_R, row):
+                alone = correlators(r, CouplingRatio(lam))
+                assert c.r == alone.r == r
+                for name in ("m", "c_xx", "c_yy", "c_zz"):
+                    assert abs(getattr(c, name) - getattr(alone, name)) <= 1e-14
+
+    def test_nan_entry_fails_the_whole_stack(self, monkeypatch):
+        series = ising._series
+
+        def nan_g0_at_half(lo, hi, lam):
+            g = series(lo, hi, lam)
+            if lam == 0.5:
+                g[-lo] = np.nan
+            return g
+
+        monkeypatch.setattr(ising, "_series", nan_g0_at_half)
+        with pytest.raises(ValueError, match="^m = nan outside"):
+            correlators([1, 2], [CouplingRatio(0.25), CouplingRatio(0.5)])
+        correlators([1, 2], CouplingRatio(0.25))
+
+    @pytest.mark.parametrize("r,match", [
+        ([1, 0], "r must be >= 1, got 0"),
+        ((2, 1.0), "r must be an integer, got 1.0"),
+        ([1, True], "r must be an integer, got True"),
+        ([], "non-empty"),
+    ])
+    def test_bad_separation_in_a_sequence_rejected(self, r, match):
+        with pytest.raises(ValueError, match=match):
+            correlators(r, [CouplingRatio(1.0)])
+
+
+class TestEdgeCouplings:
+    """lambda = 0 (G_k = delta_k0) and lambda = 50 (the 1/lambda branch), each
+    through a single-point call and as one coupling of a stack."""
+
+    R = (1, 2, 3, 10, 25)
+
+    def both_paths(self, lam):
+        stacked = correlators(self.R, [CouplingRatio(0.7), CouplingRatio(lam)])[1]
+        return [correlators(r, CouplingRatio(lam)) for r in self.R] + list(stacked)
+
+    def test_product_state_at_zero_coupling(self):
+        # the Toeplitz matrices of G_k = delta_k0 are nilpotent shifts
+        for c in self.both_paths(0.0):
+            assert (c.m, c.c_xx, c.c_yy, c.c_zz) == (1.0, 0.0, 0.0, 1.0)
+
+    def test_large_coupling_limits(self):
+        # m = (1 + 1/(8 lam^2)) / (2 lam) + O(lam^-5): 2 lam m - 1 is 5.0008e-5
+        # here, within a factor 2 of the bound; c_xx(r) reaches the Szego limit
+        # (1 - lam^-2)^(1/4) up to terms of order lam^(-2r) (measured 7.5e-9,
+        # 1.3e-12 and 3e-16 at r = 1, 2, 3) and the LU round-off of an r x r
+        # determinant (at most 1.5e-15 here)
+        lam = 50.0
+        limit = (1 - lam**-2) ** 0.25
+        for c in self.both_paths(lam):
+            assert abs(2 * lam * c.m - 1) <= 1 / (4 * lam**2)
+            assert abs(c.c_xx - limit) <= lam ** (-2 * c.r) + 4 * c.r * np.finfo(float).eps
+
+
 class TestGroundEnergyDensity:
     def test_free_limit(self):
         assert ground_energy_density(CouplingRatio(0.0)) == pytest.approx(1.0, abs=1e-10)

@@ -415,6 +415,18 @@ class TestUhlmannHolonomy:
 
 
 class TestUhlmannPhase:
+    def test_equality_is_a_bool_for_floats_and_stacks(self):
+        rho = single_site_state(0.6)
+        for theta in (THETA, (THETA, 1.0)):
+            first = uhlmann_phase(rho, LoopSpec(theta=theta, steps=64))
+            again = uhlmann_phase(rho, LoopSpec(theta=theta, steps=64))
+            other = uhlmann_phase(rho, LoopSpec(theta=theta, steps=65))
+            assert (first == again) is True and (first != again) is False
+            assert (first == other) is False and (first != other) is True
+        stacked = uhlmann_phase(rho, LoopSpec(theta=(THETA, 1.0), steps=64))
+        assert (stacked == uhlmann_phase(rho, LoopSpec(theta=THETA, steps=64))) is False
+        assert (stacked == (stacked.phase, stacked.convergence_estimate)) is False
+
     def test_zero_theta(self):
         res = uhlmann_phase(single_site_state(0.6), LoopSpec(theta=0.0, steps=64))
         assert res.phase == pytest.approx(0.0, abs=1e-12)
@@ -606,6 +618,18 @@ class TestComputePhases:
     def test_bool_separation_rejected(self):
         with pytest.raises(ValueError, match="r must be an integer, got True"):
             compute_phases(1.0, True, 1.0)
+
+    def test_given_correlators_are_used(self, monkeypatch):
+        expected = compute_phases(0.7, 3, (THETA, 1.0), loop_steps=64)
+        c = correlators(3, CouplingRatio(0.7))
+
+        def no_correlators(*args):
+            raise AssertionError("correlators called")
+
+        monkeypatch.setattr(phases, "correlators", no_correlators)
+        assert compute_phases(0.7, 3, (THETA, 1.0), loop_steps=64, corr=c) == expected
+        with pytest.raises(ValueError, match="correlators at r = 3, not at r = 2"):
+            compute_phases(0.7, 2, THETA, corr=c)
 
     def test_all_phases_principal(self):
         rec = compute_phases(1.5, 1, THETA, loop_steps=200)

@@ -7,7 +7,7 @@ from tfim_phases import cli, ising, phases, sweep
 from tfim_phases.cli import main
 from tfim_phases.errors import RankDeficientError, UnphysicalStateError
 from tfim_phases.ising import CouplingRatio
-from tfim_phases.phases import PhaseRecord, compute_phases
+from tfim_phases.phases import PhaseRecord, compute_phases, wrap_angle
 from tfim_phases.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -31,6 +31,21 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+PHASE_FIELDS = ("gamma_int_pair", "gamma_int_single", "delta_gamma", "gamma_u_pair",
+                "gamma_u_single", "delta_gamma_u", "convergence_estimate")
+
+
+def single_point_row(config, lam, r, theta):
+    """The row of one (lambda, r, theta) from its own compute_phases call."""
+    try:
+        record = compute_phases(lam, r, theta, kinds=config.kinds,
+                                loop_steps=config.loop_steps, rank_eps=config.rank_eps)
+    except tuple(sweep._STATUSES) as exc:
+        status = next(s for error, s in sweep._STATUSES.items() if isinstance(exc, error))
+        return SweepRecord(lam, r, theta, status=status)
+    return SweepRecord(lam, r, theta, record)
 
 
 class TestRunSweep:
@@ -212,6 +227,80 @@ class TestRunSweep:
         assert [x.status for x in run_sweep(config)] == ["numerical_error"]
         with pytest.raises(ValueError, match="^m = nan outside"):
             compute_phases(0.5, 1, THETA)
+
+    def test_correlators_come_from_one_stack(self, monkeypatch):
+        stacks = []
+
+        def counting_correlators(r, params):
+            stacks.append((tuple(r), tuple(p.lam for p in params)))
+            return ising_correlators(r, params)
+
+        def no_point_correlators(*args):
+            raise AssertionError("compute_phases computed its own correlators")
+
+        ising_correlators = ising.correlators
+        monkeypatch.setattr(ising, "correlators", counting_correlators)
+        monkeypatch.setattr(phases, "correlators", no_point_correlators)
+        config = small_config(r_list=(10, 1, 10))
+        assert {x.status for x in run_sweep(config)} == {"ok"}
+        assert stacks == [((1, 10), tuple(config.lambda_grid()))]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_single_point_rows(self, workers):
+        # lambda in [0.3, 1.8] runs Miller's branch below about 0.74 and above
+        # 1.31 and the outward branch between; the stack's G_k go to r = 10,
+        # each single point's to its own r, so values agree to round-off: at
+        # most 4.9e-15 apart here (6.3e-14 at r up to 100)
+        config = small_config(lambda_min=0.3, lambda_max=1.8, lambda_steps=16,
+                              r_list=(10, 3, 10, 1), theta_list=(np.pi / 3, 1.0),
+                              kinds=("interferometric", "uhlmann"))
+        records = run_sweep(config, workers=workers)
+        assert [(x.theta, x.r, x.lam) for x in records] == [
+            (theta, r, float(lam)) for theta in sorted(config.theta_list)
+            for r in sorted(config.r_list) for lam in config.lambda_grid()]
+        for x in records:
+            alone = single_point_row(config, x.lam, x.r, x.theta)
+            assert x.status == alone.status
+            assert x.record.steps_used == alone.record.steps_used
+            for name in PHASE_FIELDS:
+                got, want = getattr(x.record, name), getattr(alone.record, name)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert abs(wrap_angle(got - want)) <= 1e-13
+        assert {x.status for x in records} == {"ok"}
+
+    # the LU of a matrix that holds a NaN may meet inf - inf and warn
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+    def test_nan_correlators_at_one_coupling_fail_its_rows_alone(self, monkeypatch):
+        config = small_config(lambda_min=0.25, lambda_max=0.75, lambda_steps=3,
+                              r_list=(3, 1), theta_list=(np.pi / 3, 1.0))
+        clean = run_sweep(config)
+        series = ising._series
+
+        def nan_g0_at_half(lo, hi, lam):
+            g = series(lo, hi, lam)
+            if lam == 0.5:
+                g[-lo] = np.nan
+            return g
+
+        monkeypatch.setattr(ising, "_series", nan_g0_at_half)
+        records = run_sweep(config)
+        assert [x.status for x in records] == ["ok", "numerical_error", "ok"] * 4
+        for x, y in zip(records, clean):
+            if x.lam != 0.5:
+                assert x.record == y.record and x.status == y.status == "ok"
+
+    def test_edge_couplings_keep_single_point_statuses(self):
+        # lambda = 0 is a pure product state, rank deficient for the Uhlmann
+        # kind; lambda = 50 runs the 1/lambda branch
+        config = small_config(lambda_min=0.0, lambda_max=50.0, lambda_steps=51,
+                              r_list=(10, 1, 10), theta_list=(np.pi / 3, np.pi / 12),
+                              kinds=("interferometric", "uhlmann"))
+        assert {0.0, 1.0, 50.0} <= set(config.lambda_grid().tolist())
+        records = run_sweep(config)
+        assert [x.status for x in records] == [
+            single_point_row(config, x.lam, x.r, x.theta).status for x in records]
+        assert {x.status for x in records} == {"ok", "rank_deficient"}
 
     def test_unwrap_disabled_copies_principal(self):
         config = small_config(unwrap=False)
