@@ -296,10 +296,13 @@ def correlators(r, params):
         # builds them but with no copy: entry (l, i, j) = g[l, n-1-i+j] = G_{j-i-1}
         # and g[l, n+1+i-j] = G_{i-j+1}; numpy checks that each view lies within g
         shape = (len(couplings), x, x)
-        c_xx = np.linalg.det(np.ndarray(shape, g.dtype, g, (n - 1) * step_k,
-                                        (step_l, -step_k, step_k)))
-        c_yy = np.linalg.det(np.ndarray(shape, g.dtype, g, (n + 1) * step_k,
-                                        (step_l, step_k, -step_k)))
+        # the LU of a matrix that holds a NaN may meet inf - inf; the NaN it
+        # gives fails the Correlators bounds, so numpy's warning is not shown
+        with np.errstate(invalid="ignore"):
+            c_xx = np.linalg.det(np.ndarray(shape, g.dtype, g, (n - 1) * step_k,
+                                            (step_l, -step_k, step_k)))
+            c_yy = np.linalg.det(np.ndarray(shape, g.dtype, g, (n + 1) * step_k,
+                                            (step_l, step_k, -step_k)))
         g_pm = g[:, n + x] * g[:, n - x]
         for row, m_l, xx, yy, pm in zip(table, m, c_xx.tolist(), c_yy.tolist(), g_pm.tolist()):
             row.append(Correlators(x, m_l, xx, yy, m_l * m_l - pm))

@@ -1,6 +1,10 @@
 """Small dense complex-matrix kernels shared by the physics modules.
 
 Everything here operates on plain ``numpy`` arrays (2x2 and 4x4 complex).
+The exponential and the power are built from eigen-level primitives,
+``antihermitian_eigen`` and ``unitary_eigen``, which carry the input checks,
+so a caller that needs only the spectrum (as the Uhlmann kernel does for its
+traces) gets it from the same decomposition, bitwise.
 """
 
 from __future__ import annotations
@@ -39,12 +43,13 @@ def hermitian_eigen(m):
     diagonal in that order, so each eigenvector lies in one block, also at a crossing.
     """
     m = np.asarray(m, dtype=complex)
-    defect = float(np.abs(m - m.conj().T).max())
+    m_dag = m.conj().T
+    defect = float(np.abs(m - m_dag).max())
     if not defect <= _HERMITICITY_TOL:  # NaN fails
         raise ValueError(f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
                          f"> {_HERMITICITY_TOL:.1e}")
     blocks, inverse = _PARITY_ORDER[m.shape[0]]
-    w, v = np.linalg.eigh((m + m.conj().T)[blocks] / 2)
+    w, v = np.linalg.eigh((m + m_dag)[blocks] / 2)
     return HermitianEigen(w, v[inverse])
 
 
@@ -53,32 +58,58 @@ def _dagger(m):
     return m.conj().swapaxes(-1, -2)
 
 
-def expm_antihermitian(a, s=1.0):
-    """exp(A*s) for anti-Hermitian A, via the spectral form of the Hermitian iA.
+def spectral_matrix(vectors, diagonal):
+    """v diag(d) v^dag from eigenvector columns v and the eigenvalues d, for a
+    matrix or a (..., d, d) stack."""
+    return (vectors * diagonal[..., None, :]) @ _dagger(vectors)
+
+
+def antihermitian_eigen(a):
+    """Eigendecomposition of the Hermitian iA of an anti-Hermitian A, so that
+    exp(A s) = v e^{-i w s} v^dag.
 
     A may be a (..., d, d) stack; the defect check covers the whole stack.
-    The result is unitary to round-off by construction.
+    LAPACK decomposes each matrix of a stack on its own, so each result is
+    bitwise that of the matrix alone.
     """
     a = np.asarray(a, dtype=complex)
-    defect = float(np.abs(a + _dagger(a)).max())
+    a_dag = _dagger(a)
+    defect = float(np.abs(a + a_dag).max())
     if not defect <= _ANTIHERMITICITY_TOL:  # NaN fails
         raise ValueError(f"matrix is not anti-Hermitian: max|A + A^dag| = {defect:.3e} "
                          f"> {_ANTIHERMITICITY_TOL:.1e}")
-    w, v = np.linalg.eigh(1j * (a - _dagger(a)) / 2)
-    return (v * np.exp(-1j * w * s)[..., None, :]) @ _dagger(v)
+    return HermitianEigen(*np.linalg.eigh(1j * (a - a_dag) / 2))
 
 
-def unitary_power(u, n):
-    """u^n for a unitary u whose eigenphases lie in (-pi/2, pi/2).
+def expm_antihermitian(a, s=1.0):
+    """exp(A*s) for anti-Hermitian A (or a stack), from antihermitian_eigen.
+
+    The result is unitary to round-off by construction.
+    """
+    w, v = antihermitian_eigen(a)
+    return spectral_matrix(v, np.exp(-1j * w * s))
+
+
+def unitary_eigen(u):
+    """(eigenphases, orthonormal eigenvector columns) of a unitary u whose
+    eigenphases lie in (-pi/2, pi/2).
 
     On that arc an eigenphase w is fixed by sin(w), an eigenvalue of the
     Hermitian (u - u^dag) / 2i, so that matrix's orthonormal eigenvectors Q
-    diagonalize u.  Raising only the unit-modulus phases,
-    Q e^{i n w} Q^dag, keeps the result unitary to round-off for every n;
-    repeated squaring lets the unitarity defect of u grow with n.  u may be
-    a (..., d, d) stack.
+    diagonalize u, and w is the argument of the diagonal of Q^dag u Q.
+    u may be a (..., d, d) stack.
     """
     u = np.asarray(u, dtype=complex)
     _, q = np.linalg.eigh((u - _dagger(u)) / 2j)
-    phases = np.angle(np.einsum("...ji,...jk,...ki->...i", q.conj(), u, q))
-    return (q * np.exp(1j * n * phases)[..., None, :]) @ _dagger(q)
+    return np.angle(np.einsum("...ji,...jk,...ki->...i", q.conj(), u, q)), q
+
+
+def unitary_power(u, n):
+    """u^n for a unitary u as unitary_eigen takes it: Q e^{i n w} Q^dag.
+
+    Raising only the unit-modulus phases keeps the result unitary to
+    round-off for every n; repeated squaring lets the unitarity defect of u
+    grow with n.  u may be a (..., d, d) stack.
+    """
+    phases, q = unitary_eigen(u)
+    return spectral_matrix(q, np.exp(1j * n * phases))

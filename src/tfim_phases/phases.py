@@ -2,8 +2,9 @@
 
 Two notions are implemented for both the single-site and two-site reduced
 states.  Since U(phi) = e^{K phi} U(0), with K diagonal and the full turn
-e^{2 pi K} the exact sign FULL_TURN_SIGN[dim], each builds no loop unitary
-but U(0), and each takes one eigendecomposition rho = v p v^dag, whose
+e^{2 pi K} the exact sign FULL_TURN_SIGN[dim], each uses no loop unitary
+but U(0), which states.start_unitary builds once per theta (or theta stack)
+and dimension, and each takes one eigendecomposition rho = v p v^dag, whose
 eigenvectors the loop carries to w = U(0) v:
 
 * the interferometric phase: argument of the eigenvalue-weighted sum of loop
@@ -18,6 +19,12 @@ eigenvectors the loop carries to w = U(0) v:
   eigendecomposition of the step factor.  By Lie-Trotter it tends to
   V_inf = e^{2 pi K} e^{2 pi (A(0) - K)}, the matrix at first order in the
   step and the phase at second order; the phase of V_inf gives the step error.
+  The phase forms neither matrix: each trace comes from the eigenvector
+  weights |(w^dag Q)_nj|^2 against the eigenvalues of V's spectral factor.
+  The step factor and its eigenphases are bitwise those of the explicit
+  power, which uhlmann_holonomy forms from the same decomposition: the
+  power multiplies an eigenphase by loop.steps, and with it any change in
+  its last bit.
 
 Each kernel follows numpy's shape rule in theta (the Uhlmann kernel's
 LoopSpec.theta): a float gives floats, and a 1-D sequence, evaluated as one
@@ -45,14 +52,20 @@ import numpy as np
 
 from .errors import RankDeficientError, VisibilityError
 from .ising import CouplingRatio, Correlators, correlators
-from .linalg import expm_antihermitian, hermitian_eigen, unitary_power
+from .linalg import (
+    HermitianEigen,
+    antihermitian_eigen,
+    hermitian_eigen,
+    spectral_matrix,
+    unitary_eigen,
+)
 from .states import (
     FULL_TURN_SIGN,
     LoopSpec,
     generator_diagonal,
     loop_generator,
-    loop_unitary,
     single_site_state,
+    start_unitary,
     two_site_state,
 )
 
@@ -88,12 +101,17 @@ def wrap_angle(x):
 # interferometric phase
 # ---------------------------------------------------------------------------
 
-def _phases(amplitudes):
+def _phases(amplitudes, in_order=False):
     """arg of each amplitude of a stack; raises the VisibilityError of the
-    smallest magnitude if any is below _VISIBILITY_EPS or NaN."""
-    vanishing = [x for x in np.abs(amplitudes).ravel().tolist() if not x >= _VISIBILITY_EPS]
-    if vanishing:
-        raise VisibilityError(min(vanishing), _VISIBILITY_EPS)
+    smallest magnitude if any is below _VISIBILITY_EPS or NaN.  With in_order,
+    the stacks along the first axis are checked in turn, and the error names
+    the smallest magnitude of the first that has one."""
+    magnitudes = np.abs(amplitudes)
+    if not magnitudes.min() >= _VISIBILITY_EPS:  # NaN fails
+        for part in magnitudes if in_order else [magnitudes]:
+            vanishing = [x for x in np.ravel(part).tolist() if not x >= _VISIBILITY_EPS]
+            if vanishing:
+                raise VisibilityError(min(vanishing), _VISIBILITY_EPS)
     return np.angle(amplitudes)
 
 
@@ -108,7 +126,7 @@ def interferometric_phase_from_eigen(p, v, theta):
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=complex)
     dim = v.shape[0]
-    weights = np.abs(loop_unitary(0.0, theta, dim) @ v) ** 2
+    weights = np.abs(start_unitary(theta, dim) @ v) ** 2
     rates = generator_diagonal(dim) @ weights
     return _phases(FULL_TURN_SIGN[dim] * np.sum(p * np.exp(-2 * np.pi * rates), axis=-1))
 
@@ -138,53 +156,59 @@ def single_site_phase_closed(m, theta):
 # ---------------------------------------------------------------------------
 
 def _loop_start(rho, theta, rank_eps):
-    """rho(0; theta) and A(0) from one decomposition of rho, after the rank check.
+    """The eigenvalues p of rho, the adjoint w^dag of its eigenvectors
+    w = U(0) v at theta, and the connection A(0), from one decomposition of
+    rho, after the rank check.
 
-    In the eigenbasis w = U(0) v of rho(0; theta), the commutator-form
+    rho(0; theta) = w p w^dag.  In the eigenbasis w, the commutator-form
     connection [[K, sqrt(rho)], sqrt(rho)] / (p_n + p_m) is
     K'_nm (sqrt p_m - sqrt p_n)^2 / (p_n + p_m), with K' = w^dag K w.
-    A 1-D theta gives both as (len(theta), dim, dim) stacks.
+    A 1-D theta gives w^dag and A(0) as (len(theta), dim, dim) stacks.
     """
     p, v = hermitian_eigen(rho)
     if not p[0] >= rank_eps:  # NaN fails
         raise RankDeficientError(float(p[0]), rank_eps)
     dim = len(p)
-    w = loop_unitary(0.0, theta, dim) @ v
+    w = start_unitary(theta, dim) @ v
     w_dag = w.conj().swapaxes(-1, -2)
     k_eig = (w_dag * generator_diagonal(dim)) @ w
     sqrt_p = np.sqrt(p)
     a_eig = k_eig * (sqrt_p[None, :] - sqrt_p[:, None]) ** 2 / (p[:, None] + p[None, :])
-    return (w * p) @ w_dag, w @ a_eig @ w_dag
+    return p, w_dag, w @ a_eig @ w_dag
 
 
 def uhlmann_connection(rho, rank_eps=RANK_EPS):
     """Anti-Hermitian transport connection A(0) of e^{K phi} rho e^{-K phi}."""
-    return _loop_start(rho, 0.0, rank_eps)[1]
+    return _loop_start(rho, 0.0, rank_eps)[2]
 
 
-def _holonomy_matrix(a0, steps):
-    """Ordered product of exp(A(phi_j) dphi) over the uniform phi grid.
+def _step_eigen(exponent, steps):
+    """Eigenphases and eigenvectors of the step factor e^{-K dphi} e^{A(0) dphi},
+    given exponent, the antihermitian_eigen of A(0) (or of a stack of them).
 
     The family is rho(phi) = e^{K phi} rho(0) e^{-K phi}, so the connection is
-    covariant, A(phi) = e^{K phi} A(0) e^{-K phi}, and the ordered product
-    over phi_j = j dphi, j = 0 .. steps-1, telescopes exactly to
-    e^{2 pi K} (e^{-K dphi} e^{A(0) dphi})^steps, the full-turn sign times a
-    power of a step factor whose diagonal e^{-K dphi} is a row scale: the
-    finite-step product, not its steps -> inf limit.  Since ||K|| <= 1 and
-    ||A(0)|| <= ||K||_F <= sqrt(2), the step factor's eigenphases lie within
-    (1 + sqrt(2)) dphi < pi/2 of 0 for steps >= 16, as unitary_power requires.
-    A (..., d, d) stack of A(0) gives the stack of holonomies.
+    covariant, A(phi) = e^{K phi} A(0) e^{-K phi}, and the ordered product of
+    exp(A(phi_j) dphi) over phi_j = j dphi, j = 0 .. steps-1, telescopes
+    exactly to e^{2 pi K} (e^{-K dphi} e^{A(0) dphi})^steps, the full-turn
+    sign times a power of the step factor, whose diagonal e^{-K dphi} is a row
+    scale: the finite-step product, not its steps -> inf limit.  Since
+    ||K|| <= 1 and ||A(0)|| <= ||K||_F <= sqrt(2), the step factor's
+    eigenphases lie within (1 + sqrt(2)) dphi < pi/2 of 0 for steps >= 16, as
+    unitary_eigen requires.  The power raises these eigenphases alone: a
+    1-ulp change in one grows steps-fold, so the step factor and its
+    decomposition are those of unitary_power(step, steps), bitwise.
     """
-    dim = a0.shape[-1]
+    w, v = exponent
     dphi = 2 * np.pi / steps
-    step = np.exp(-dphi * generator_diagonal(dim))[:, None] * expm_antihermitian(a0, dphi)
-    return FULL_TURN_SIGN[dim] * unitary_power(step, steps)
+    row_scale = np.exp(-dphi * generator_diagonal(v.shape[-1]))[:, None]
+    return unitary_eigen(row_scale * spectral_matrix(v, np.exp(-1j * w * dphi)))
 
 
 def uhlmann_holonomy(rho, loop: LoopSpec, rank_eps=RANK_EPS):
     """Holonomy unitary V(2pi) accumulated over loop.steps grid points."""
-    _, a0 = _loop_start(rho, loop.theta, rank_eps)
-    return _holonomy_matrix(a0, loop.steps)
+    a0 = _loop_start(rho, loop.theta, rank_eps)[2]
+    phases, q = _step_eigen(antihermitian_eigen(a0), loop.steps)
+    return FULL_TURN_SIGN[a0.shape[-1]] * spectral_matrix(q, np.exp(1j * loop.steps * phases))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,15 +230,24 @@ def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult:
 
     Both fields have loop.theta's shape: floats for a float, arrays for a
     sequence, which is evaluated as one stack from one decomposition of rho.
-    The rank, anti-Hermiticity and visibility checks hold for the whole
-    stack, and a VisibilityError names the smallest trace of the first of
-    V(2pi) and V_inf that vanishes.
+    Neither V(2pi) nor V_inf is formed.  One antihermitian_eigen of the stack
+    [A(0), A(0) - K] gives the step factor's exponent and V_inf = e^{2 pi K}
+    Y e^{-2 pi i mu} Y^dag; with V(2pi) = e^{2 pi K} Q e^{i N phi} Q^dag from
+    _step_eigen and rho(0; theta) = w p w^dag, each trace is
+    s sum_j e_j sum_n p_n |(w^dag Q)_nj|^2, with s the full-turn sign and e_j
+    the eigenvalue of V's spectral factor.  The rank, anti-Hermiticity and
+    visibility checks hold for the whole stack, and a VisibilityError names
+    the smallest trace of the first of V(2pi) and V_inf that vanishes.
     """
-    base, a0 = _loop_start(rho, loop.theta, rank_eps)
-    dim = a0.shape[-1]
-    v_inf = FULL_TURN_SIGN[dim] * expm_antihermitian(a0 - loop_generator(dim), 2 * np.pi)
-    gamma_n, gamma_inf = (_phases(np.trace(base @ v, axis1=-2, axis2=-1))
-                          for v in (_holonomy_matrix(a0, loop.steps), v_inf))
+    p, w_dag, a0 = _loop_start(rho, loop.theta, rank_eps)
+    dim = len(p)
+    values, vectors = antihermitian_eigen(np.array([a0, a0 - loop_generator(dim)]))
+    phases, q = _step_eigen(HermitianEigen(values[0], vectors[0]), loop.steps)
+    spectra = np.exp(1j * np.array([loop.steps * phases, -2 * np.pi * values[1]]))
+    overlaps = w_dag @ np.array([q, vectors[1]])
+    weights = p @ (overlaps.real ** 2 + overlaps.imag ** 2)
+    traces = FULL_TURN_SIGN[dim] * (weights * spectra).sum(axis=-1)
+    gamma_n, gamma_inf = _phases(traces, in_order=True)
     return UhlmannResult(gamma_n, np.abs(wrap_angle(gamma_n - gamma_inf)))
 
 
@@ -267,21 +300,23 @@ def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
     c = correlators(r, CouplingRatio(lam, quad_tol)) if corr is None else corr
     pair, single = two_site_state(c), single_site_state(c.m)
 
-    columns, steps_used = {}, 0  # PhaseRecord fields, one entry per theta
+    # PhaseRecord's fields in order, each a list with one entry per theta
+    unset = [None] * len(loop.theta)
+    interferometric, uhlmann, convergence, steps_used = [unset] * 3, [unset] * 3, unset, 0
     if "interferometric" in kinds:
         g_pair, g_single = (interferometric_phase(x, loop.theta) for x in (pair, single))
-        columns.update(gamma_int_pair=g_pair, gamma_int_single=g_single,
-                       delta_gamma=wrap_angle(g_pair - 2 * g_single))
+        interferometric = [g.tolist() for g in (g_pair, g_single,
+                                                wrap_angle(g_pair - 2 * g_single))]
     if "uhlmann" in kinds:
         try:
             u_pair, u_single = (uhlmann_phase(x, loop, rank_eps) for x in (pair, single))
         except RankDeficientError as exc:
             raise RankDeficientError(exc.min_eigenvalue, exc.rank_eps, lam=lam) from exc
-        columns.update(gamma_u_pair=u_pair.phase, gamma_u_single=u_single.phase,
-                       delta_gamma_u=wrap_angle(u_pair.phase - 2 * u_single.phase),
-                       convergence_estimate=np.maximum(u_pair.convergence_estimate,
-                                                       u_single.convergence_estimate))
+        uhlmann = [g.tolist() for g in (u_pair.phase, u_single.phase,
+                                        wrap_angle(u_pair.phase - 2 * u_single.phase))]
+        convergence = np.maximum(u_pair.convergence_estimate,
+                                 u_single.convergence_estimate).tolist()
         steps_used = loop_steps
-    records = tuple(PhaseRecord(**dict(zip(columns, row)), steps_used=steps_used)
-                    for row in zip(*(col.tolist() for col in columns.values())))
+    records = tuple(map(PhaseRecord, *interferometric, *uhlmann, [steps_used] * len(unset),
+                        convergence))
     return records if np.ndim(theta) else records[0]

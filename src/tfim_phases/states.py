@@ -8,11 +8,13 @@ Basis convention: two-site states live in the product basis
 Z = +1 state.  The loop unitary is R_z(phi) R_y(theta) applied to every
 site, with half-angle phases taken literally, so a 2*pi z-rotation is -I
 on a single site and +I on a pair.  It is built only by ``loop_unitary``,
-as U(phi) = e^{K phi} U(0) with the constant generator K.
+as U(phi) = e^{K phi} U(0) with the constant generator K; ``start_unitary``
+keeps its U(0) of recent theta values in a small bounded cache.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "FULL_TURN_SIGN",
     "loop_generator",
     "loop_unitary",
+    "start_unitary",
 ]
 
 MIN_LOOP_STEPS = 16
@@ -114,3 +117,22 @@ def loop_unitary(phi: float, theta, dim: int) -> np.ndarray:
     if dim == 4:
         ry = (ry[..., :, None, :, None] * ry[..., None, :, None, :]).reshape(*half.shape, 4, 4)
     return np.exp(generator_diagonal(dim) * phi)[:, None] * ry
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_start_unitary(theta_bytes, shape, dim):
+    u = loop_unitary(0.0, np.frombuffer(theta_bytes).reshape(shape), dim)
+    u.flags.writeable = False
+    return u
+
+
+def start_unitary(theta, dim: int) -> np.ndarray:
+    """U(0) = loop_unitary(0.0, theta, dim) as a read-only array, built once per
+    (theta, dim) of the last 64 asked for.
+
+    theta is a float or a 1-D sequence of floats (a tuple, list or array),
+    keyed by its float64 bytes, so a theta and a stack of it each get their own
+    entry and -0.0 is not 0.0.
+    """
+    theta = np.asarray(theta, dtype=float)
+    return _cached_start_unitary(theta.tobytes(), theta.shape, dim)

@@ -121,9 +121,9 @@ _STATUSES = {
 }
 
 
-def _evaluate_coupling(config, coupling, thetas=None):
+def _evaluate_coupling(config, thetas, coupling):
     """The rows of one (lambda, r, correlators) coupling point, one per theta
-    of the sorted theta_list (or of thetas), from one compute_phases call;
+    of thetas (the sorted theta_list), from one compute_phases call;
     correlators None has compute_phases compute them.
 
     A raised error becomes the status of every row, with one exception: a
@@ -132,7 +132,6 @@ def _evaluate_coupling(config, coupling, thetas=None):
     is evaluated again on its own.
     """
     lam, r, corr = coupling
-    thetas = thetas or tuple(sorted(config.theta_list))
     try:
         records = compute_phases(
             lam, r, thetas, kinds=config.kinds, loop_steps=config.loop_steps,
@@ -141,7 +140,7 @@ def _evaluate_coupling(config, coupling, thetas=None):
     except tuple(_STATUSES) as exc:
         if isinstance(exc, VisibilityError) and len(thetas) > 1:
             return [row for theta in thetas
-                    for row in _evaluate_coupling(config, coupling, (theta,))]
+                    for row in _evaluate_coupling(config, (theta,), coupling)]
         status = next(s for error, s in _STATUSES.items() if isinstance(exc, error))
         return [SweepRecord(lam, r, float(theta), status=status) for theta in thetas]
     return [SweepRecord(lam, r, float(theta), rec) for theta, rec in zip(thetas, records)]
@@ -195,7 +194,7 @@ def run_sweep(config: SweepConfig, workers: int = 1):
     table = _correlator_table(r_values, [CouplingRatio(lam, config.quad_tol) for lam in lams])
     couplings = [(lam, int(r), row[r_values.index(r)]) for r in sorted(config.r_list)
                  for lam, row in zip(lams, table)]
-    evaluate = functools.partial(_evaluate_coupling, config)
+    evaluate = functools.partial(_evaluate_coupling, config, tuple(sorted(config.theta_list)))
     if workers > 1:
         # the pool forks all of its workers up front: no more than there are couplings
         with concurrent.futures.ProcessPoolExecutor(

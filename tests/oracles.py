@@ -21,6 +21,10 @@
   factors e^{2 pi K} and e^{-K dphi} applied as matrix products built by
   ``loop_unitary``, against which the kernels' exact full-turn sign and
   row scale are pinned.
+* ``row_scale_holonomy``: the finite-step holonomy
+  FULL_TURN_SIGN * unitary_power(step, N), with its step factor, the
+  exponential and the power written out in numpy alone, against which
+  ``uhlmann_holonomy`` is pinned bitwise.
 """
 
 import numpy as np
@@ -29,7 +33,7 @@ import scipy.linalg
 from tfim_phases import ising
 from tfim_phases.linalg import expm_antihermitian, hermitian_eigen, unitary_power
 from tfim_phases.phases import _loop_start, wrap_angle
-from tfim_phases.states import loop_generator, loop_unitary
+from tfim_phases.states import FULL_TURN_SIGN, generator_diagonal, loop_generator, loop_unitary
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -157,10 +161,29 @@ def product_form_holonomy(a0, steps):
     return loop_unitary(2 * np.pi, 0.0, dim) @ unitary_power(step, steps)
 
 
+def row_scale_holonomy(a0, steps):
+    """FULL_TURN_SIGN * (e^{-K dphi} e^{A(0) dphi})^steps, with e^{-K dphi} a row
+    scale, exp(A(0) dphi) from the eigendecomposition of i A(0) and the power
+    from the eigenphases of the step factor, each as numpy alone computes it."""
+    dim = a0.shape[-1]
+    dphi = 2 * np.pi / steps
+
+    def dagger(m):
+        return m.conj().swapaxes(-1, -2)
+
+    w, v = np.linalg.eigh(1j * (a0 - dagger(a0)) / 2)
+    exp_a0 = (v * np.exp(-1j * w * dphi)[..., None, :]) @ dagger(v)
+    step = np.exp(-dphi * generator_diagonal(dim))[:, None] * exp_a0
+    _, q = np.linalg.eigh((step - dagger(step)) / 2j)
+    phases = np.angle(np.einsum("...ji,...jk,...ki->...i", q.conj(), step, q))
+    return FULL_TURN_SIGN[dim] * ((q * np.exp(1j * steps * phases)[..., None, :]) @ dagger(q))
+
+
 def product_form_uhlmann(rho, theta, steps, rank_eps=1e-8):
     """(gamma_N, |wrap(gamma_N - gamma_inf)|) per theta of a 1-D theta, with
     V_inf = e^{2 pi K} e^{2 pi (A(0) - K)} as a matrix product."""
-    base, a0 = _loop_start(rho, np.atleast_1d(theta), rank_eps)
+    p, w_dag, a0 = _loop_start(rho, np.atleast_1d(theta), rank_eps)
+    base = (w_dag.conj().swapaxes(-1, -2) * p) @ w_dag
     dim = a0.shape[-1]
     v_inf = loop_unitary(2 * np.pi, 0.0, dim) @ expm_antihermitian(
         a0 - loop_generator(dim), 2 * np.pi)

@@ -438,8 +438,6 @@ class TestCorrelators:
         with pytest.raises(ValueError, match=f"^{field} = nan outside"):
             Correlators(r=1, **values)
 
-    # numpy's det may warn on a NaN entry; the correlator bounds then raise
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
     def test_non_finite_element_rejected_by_its_field(self, monkeypatch):
         # at r = 2, G_{-1} (index 1 of k = -2 .. 2) enters c_xx alone
         series = ising._series

@@ -36,6 +36,7 @@ from oracles import (
     product_form_holonomy,
     product_form_interferometric,
     product_form_uhlmann,
+    row_scale_holonomy,
     sqrt_psd,
 )
 
@@ -256,6 +257,16 @@ class TestInterferometricPhase:
         # a NaN would otherwise reach the CSV as nan
         with pytest.raises(VisibilityError, match="nan"):
             phases._phases(np.array([0.5, np.nan]))
+
+    def test_in_order_names_the_first_stack_that_vanishes(self):
+        # the Uhlmann kernel checks the traces of V(2pi) before those of V_inf
+        traces = np.array([[0.5, 2e-13, 0.5], [1e-14, 0.5, np.nan]])
+        for in_order, smallest in ((False, 1e-14), (True, 2e-13)):
+            with pytest.raises(VisibilityError) as exc:
+                phases._phases(traces, in_order=in_order)
+            assert exc.value.magnitude == smallest
+        with pytest.raises(VisibilityError, match="nan"):
+            phases._phases(np.array([[0.5, 0.5], [0.5, np.nan]]), in_order=True)
 
 
 class TestSingleSitePhaseClosed:
@@ -509,12 +520,12 @@ class TestUhlmannPhase:
     def test_one_finite_step_holonomy_per_phase(self, monkeypatch):
         calls = []
 
-        def counting_holonomy(a0, steps):
+        def counting_step_eigen(exponent, steps):
             calls.append(steps)
-            return holonomy(a0, steps)
+            return step_eigen(exponent, steps)
 
-        holonomy = phases._holonomy_matrix
-        monkeypatch.setattr(phases, "_holonomy_matrix", counting_holonomy)
+        step_eigen = phases._step_eigen
+        monkeypatch.setattr(phases, "_step_eigen", counting_step_eigen)
         uhlmann_phase(model_pair(1.5), LoopSpec(theta=THETA, steps=500))
         assert calls == [500]
         calls.clear()
@@ -821,7 +832,7 @@ class TestFullTurnSign:
     @pytest.mark.parametrize("state", ["single", "pair"])
     def test_holonomy_equals_product_form(self, state, lam, steps):
         rho = pair_or_single(state, lam)
-        _, a0 = phases._loop_start(rho, np.array(STACK_THETAS), phases.RANK_EPS)
+        a0 = phases._loop_start(rho, np.array(STACK_THETAS), phases.RANK_EPS)[2]
         expected = product_form_holonomy(a0, steps)
         stacked = uhlmann_holonomy(rho, LoopSpec(theta=STACK_THETAS, steps=steps))
         floats = [uhlmann_holonomy(rho, LoopSpec(theta=t, steps=steps)) for t in STACK_THETAS]
@@ -829,6 +840,32 @@ class TestFullTurnSign:
         # its power: 8.4e-14 at 2000 steps on the pair, 2e-15 at 16 and 17
         for got in (stacked, np.array(floats)):
             assert np.abs(got - expected).max() <= 1e-14 + steps * 1e-16
+
+    @pytest.mark.parametrize("steps", [16, 17, 2000])
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("state", ["single", "pair"])
+    def test_holonomy_bitwise_equals_row_scale_power(self, state, lam, steps):
+        # the step factor and its power are those of the row-scale formula,
+        # bit for bit: a 1-ulp change in an eigenphase grows steps-fold
+        rho = pair_or_single(state, lam)
+        for theta in (*STACK_THETAS, STACK_THETAS):
+            a0 = phases._loop_start(rho, theta, phases.RANK_EPS)[2]
+            got = uhlmann_holonomy(rho, LoopSpec(theta=theta, steps=steps))
+            assert np.array_equal(got, row_scale_holonomy(a0, steps))
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("state", ["single", "pair"])
+    def test_exponent_stack_bitwise_equals_separate_decompositions(self, state, lam):
+        # uhlmann_phase decomposes A(0) and A(0) - K in one call
+        rho = pair_or_single(state, lam)
+        for theta in (THETA, STACK_THETAS):
+            a0 = phases._loop_start(rho, theta, phases.RANK_EPS)[2]
+            exponents = (a0, a0 - loop_generator(a0.shape[-1]))
+            both = linalg.antihermitian_eigen(np.array(exponents))
+            for i, a in enumerate(exponents):
+                alone = linalg.antihermitian_eigen(a)
+                assert np.array_equal(both.values[i], alone.values)
+                assert np.array_equal(both.vectors[i], alone.vectors)
 
     @pytest.mark.parametrize("steps", [16, 17, 2000])
     @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 1.5, 2.0])

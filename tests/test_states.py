@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tfim_phases import states
 from tfim_phases.errors import UnphysicalStateError
 from tfim_phases.ising import Correlators, CouplingRatio, correlators
 from tfim_phases.linalg import SIGMA_Z
@@ -14,6 +15,7 @@ from tfim_phases.states import (
     loop_generator,
     loop_unitary,
     single_site_state,
+    start_unitary,
     two_site_state,
 )
 
@@ -276,3 +278,39 @@ class TestLoopSpec:
         for bad in (np.full((2, 2), 0.5), "0.3", ["0.1"], [0.1, None]):
             with pytest.raises(ValueError, match="theta must be a float or a 1-D float sequence"):
                 LoopSpec(theta=bad)
+
+
+class TestStartUnitary:
+    THETAS = (0.0, np.pi / 12, 1.0, np.pi)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("form", [float, tuple, list, np.array])
+    def test_read_only_and_bitwise_loop_unitary(self, dim, form):
+        theta = form(self.THETAS[2]) if form is float else form(self.THETAS)
+        for _ in range(2):  # built, then from the cache
+            u = start_unitary(theta, dim)
+            assert not u.flags.writeable
+            assert u.shape == np.shape(loop_unitary(0.0, theta, dim))
+            assert np.array_equal(u, loop_unitary(0.0, theta, dim))
+        with pytest.raises(ValueError, match="read-only"):
+            u[..., 0, 0] = 0.0
+
+    def test_theta_and_its_stack_are_distinct_entries(self):
+        assert start_unitary(1.0, 4).shape == (4, 4)
+        assert start_unitary((1.0,), 4).shape == (1, 4, 4)
+        assert start_unitary(1.0, 2).shape == (2, 2)
+
+    def test_negative_zero_is_not_zero(self):
+        # loop_unitary's zeros carry theta's sign, so the two need two entries
+        # (a dict would take -0.0 and 0.0 as one key, as a float-keyed cache would)
+        plus, minus = (np.signbit(loop_unitary(0.0, t, 2).real) for t in (0.0, -0.0))
+        assert not np.array_equal(plus, minus)
+        for t, signs in ((0.0, plus), (-0.0, minus), (0.0, plus)):
+            assert np.array_equal(np.signbit(start_unitary(t, 2).real), signs)
+
+    def test_cache_is_bounded(self):
+        limit = states._cached_start_unitary.cache_info().maxsize
+        assert limit is not None
+        for theta in np.linspace(0, np.pi, limit + 5):
+            start_unitary(theta, 2)
+        assert states._cached_start_unitary.cache_info().currsize == limit

@@ -1,3 +1,4 @@
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -269,8 +270,6 @@ class TestRunSweep:
                     assert abs(wrap_angle(got - want)) <= 1e-13
         assert {x.status for x in records} == {"ok"}
 
-    # the LU of a matrix that holds a NaN may meet inf - inf and warn
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
     def test_nan_correlators_at_one_coupling_fail_its_rows_alone(self, monkeypatch):
         config = small_config(lambda_min=0.25, lambda_max=0.75, lambda_steps=3,
                               r_list=(3, 1), theta_list=(np.pi / 3, 1.0))
@@ -289,6 +288,26 @@ class TestRunSweep:
         for x, y in zip(records, clean):
             if x.lam != 0.5:
                 assert x.record == y.record and x.status == y.status == "ok"
+
+    def test_nan_correlators_raise_no_warning(self, monkeypatch):
+        # a NaN G_k makes the LU of the Toeplitz determinants meet inf - inf;
+        # the status row is the whole report, with nothing on stderr
+        config = small_config(lambda_min=0.25, lambda_max=0.75, lambda_steps=3,
+                              r_list=(3, 1), theta_list=(np.pi / 3, 1.0),
+                              kinds=("interferometric", "uhlmann"))
+        series = ising._series
+
+        def nan_g0_at_half(lo, hi, lam):
+            g = series(lo, hi, lam)
+            if lam == 0.5:
+                g[-lo] = np.nan
+            return g
+
+        monkeypatch.setattr(ising, "_series", nan_g0_at_half)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = run_sweep(config)
+        assert [x.status for x in records] == ["ok", "numerical_error", "ok"] * 4
 
     def test_edge_couplings_keep_single_point_statuses(self):
         # lambda = 0 is a pure product state, rank deficient for the Uhlmann
