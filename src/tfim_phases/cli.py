@@ -100,7 +100,8 @@ def _build_parser():
 
 
 def _cmd_correlators(args):
-    params = ising.CouplingRatio(args.lam, args.quad_tol)
+    params = ising.CouplingRatio(args.lam)
+    ising.check_quad_tol(args.quad_tol)
     rows = [ising.correlators(r, params) for r in args.r]
     print("r,m,c_xx,c_yy,c_zz")
     for c in rows:
@@ -109,10 +110,10 @@ def _cmd_correlators(args):
 
 
 def _cmd_phase(args):
+    ising.check_quad_tol(args.quad_tol)
     rec = compute_phases(
         args.lam, args.r, args.theta, kinds=_KIND_CHOICES[args.kinds],
-        loop_steps=args.loop_steps, quad_tol=args.quad_tol,
-        rank_eps=args.rank_eps,
+        loop_steps=args.loop_steps, rank_eps=args.rank_eps,
     )
     for name in ("gamma_int_pair", "gamma_int_single", "delta_gamma",
                  "gamma_u_pair", "gamma_u_single", "delta_gamma_u"):
@@ -195,7 +196,8 @@ def _cmd_preset(args):
 
 
 def _cmd_oracle(args):
-    params = ising.CouplingRatio(args.lam, args.quad_tol)
+    params = ising.CouplingRatio(args.lam)
+    ising.check_quad_tol(args.quad_tol)
     for n in args.n_sites:
         ising.check_chain_size(n)
     if len(set(args.n_sites)) < len(args.n_sites):

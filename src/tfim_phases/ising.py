@@ -27,10 +27,10 @@ and the magnetization is G_0.  No integral is evaluated:
 
 The result is within ERROR_FLOOR of the exact G_k for every coupling and
 |k| <= 10^4 (checked against high-precision hypergeometric values in the
-test suite).  The quad_tol of a CouplingRatio is an accuracy request: one
-below ERROR_FLOOR cannot be met, so CouplingRatio rejects it with
-QuadratureError when it is built.  The names quad_tol and QuadratureError
-are kept from the quadrature that the closed form replaced.
+test suite).  A command's quad_tol is an accuracy request: one below
+ERROR_FLOOR cannot be met, so check_quad_tol rejects it with QuadratureError
+before any work.  No computation reads the value.  The names quad_tol and
+QuadratureError are kept from the quadrature that the closed form replaced.
 
 correlators follows numpy's shape rule over a sequence of separations and
 of couplings.  A stack computes each coupling's G_k once, up to the largest
@@ -78,6 +78,7 @@ __all__ = [
     "CouplingRatio",
     "Correlators",
     "ERROR_FLOOR",
+    "check_quad_tol",
     "MAX_SEPARATION",
     "magnetization",
     "toeplitz_element",
@@ -95,6 +96,17 @@ BOUND_SLACK = 1e-9
 # coupling.  The worst measured is 3.1e-13, at |k| = 10^4 within 1e-3 of
 # lam = 1.  A quad_tol below it cannot be met.
 ERROR_FLOOR = 1e-12
+
+
+def check_quad_tol(quad_tol):
+    """Raise ValueError unless quad_tol > 0 (NaN fails), and QuadratureError
+    if it is below ERROR_FLOOR, which the closed form cannot meet."""
+    if not quad_tol > 0:
+        raise ValueError(f"quad_tol must be > 0, got {quad_tol}")
+    if quad_tol < ERROR_FLOOR:
+        raise QuadratureError(f"quad_tol {quad_tol:.3e} is below the error floor "
+                              f"{ERROR_FLOOR:g} of the closed form", ERROR_FLOOR)
+
 
 # Largest separation |k| whose G_k is computed.
 MAX_SEPARATION = 10**4
@@ -127,22 +139,13 @@ def require_integer(name, value):
 
 @dataclass(frozen=True)
 class CouplingRatio:
-    """Finite coupling lam >= 0 plus the accuracy requested of G_k.
-
-    A quad_tol below ERROR_FLOOR cannot be met and raises QuadratureError.
-    """
+    """Finite coupling lam >= 0 (NaN fails)."""
 
     lam: float
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not self.quad_tol > 0:
-            raise ValueError(f"quad_tol must be > 0, got {self.quad_tol}")
-        if self.quad_tol < ERROR_FLOOR:
-            raise QuadratureError(f"quad_tol {self.quad_tol:.3e} is below the error floor "
-                                  f"{ERROR_FLOOR:g} of the closed form", ERROR_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -441,8 +444,7 @@ def exact_diag_correlators(n_sites: int, lam: float):
     expectation values are averaged over both.
     """
     check_chain_size(n_sites)
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    CouplingRatio(lam)
     energies, vectors = _sector_ground_states(n_sites, lam)
     order = np.argsort(energies)
     return _ground_correlators(n_sites, energies[order], vectors[:, order])

@@ -1,10 +1,12 @@
 """Small dense complex-matrix kernels shared by the physics modules.
 
 Everything here operates on plain ``numpy`` arrays (2x2 and 4x4 complex).
-The exponential and the power are built from eigen-level primitives,
+The kernels are eigen-level primitives: ``hermitian_eigen``,
 ``antihermitian_eigen`` and ``unitary_eigen``, which carry the input checks,
-so a caller that needs only the spectrum (as the Uhlmann kernel does for its
-traces) gets it from the same decomposition, bitwise.
+and ``spectral_matrix``, which builds a function of a matrix from its
+decomposition.  A caller that needs only the spectrum (as the Uhlmann kernel
+does for its traces) gets it from the same decomposition that a matrix
+function of it would use, bitwise.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 # Largest max|M - M^dag| (max|A + A^dag|) accepted as round-off.
 _HERMITICITY_TOL = 1e-12
@@ -81,15 +80,6 @@ def antihermitian_eigen(a):
     return HermitianEigen(*np.linalg.eigh(1j * (a - a_dag) / 2))
 
 
-def expm_antihermitian(a, s=1.0):
-    """exp(A*s) for anti-Hermitian A (or a stack), from antihermitian_eigen.
-
-    The result is unitary to round-off by construction.
-    """
-    w, v = antihermitian_eigen(a)
-    return spectral_matrix(v, np.exp(-1j * w * s))
-
-
 def unitary_eigen(u):
     """(eigenphases, orthonormal eigenvector columns) of a unitary u whose
     eigenphases lie in (-pi/2, pi/2).
@@ -103,13 +93,3 @@ def unitary_eigen(u):
     _, q = np.linalg.eigh((u - _dagger(u)) / 2j)
     return np.angle(np.einsum("...ji,...jk,...ki->...i", q.conj(), u, q)), q
 
-
-def unitary_power(u, n):
-    """u^n for a unitary u as unitary_eigen takes it: Q e^{i n w} Q^dag.
-
-    Raising only the unit-modulus phases keeps the result unitary to
-    round-off for every n; repeated squaring lets the unitarity defect of u
-    grow with n.  u may be a (..., d, d) stack.
-    """
-    phases, q = unitary_eigen(u)
-    return spectral_matrix(q, np.exp(1j * n * phases))

@@ -21,10 +21,9 @@ eigenvectors the loop carries to w = U(0) v:
   step and the phase at second order; the phase of V_inf gives the step error.
   The phase forms neither matrix: each trace comes from the eigenvector
   weights |(w^dag Q)_nj|^2 against the eigenvalues of V's spectral factor.
-  The step factor and its eigenphases are bitwise those of the explicit
-  power, which uhlmann_holonomy forms from the same decomposition: the
-  power multiplies an eigenphase by loop.steps, and with it any change in
-  its last bit.
+  uhlmann_holonomy forms the explicit power from the same step factor and
+  eigenphases, bitwise: the power multiplies an eigenphase by loop.steps,
+  and with it any change in its last bit.
 
 Each kernel follows numpy's shape rule in theta (the Uhlmann kernel's
 LoopSpec.theta): a float gives floats, and a 1-D sequence, evaluated as one
@@ -52,13 +51,7 @@ import numpy as np
 
 from .errors import RankDeficientError, VisibilityError
 from .ising import CouplingRatio, Correlators, correlators
-from .linalg import (
-    HermitianEigen,
-    antihermitian_eigen,
-    hermitian_eigen,
-    spectral_matrix,
-    unitary_eigen,
-)
+from .linalg import antihermitian_eigen, hermitian_eigen, spectral_matrix, unitary_eigen
 from .states import (
     FULL_TURN_SIGN,
     LoopSpec,
@@ -182,9 +175,10 @@ def uhlmann_connection(rho, rank_eps=RANK_EPS):
     return _loop_start(rho, 0.0, rank_eps)[2]
 
 
-def _step_eigen(exponent, steps):
+def _step_eigen(w, v, steps):
     """Eigenphases and eigenvectors of the step factor e^{-K dphi} e^{A(0) dphi},
-    given exponent, the antihermitian_eigen of A(0) (or of a stack of them).
+    given the eigenvalues w and eigenvectors v of i A(0) (or of a stack of
+    them), as antihermitian_eigen gives them.
 
     The family is rho(phi) = e^{K phi} rho(0) e^{-K phi}, so the connection is
     covariant, A(phi) = e^{K phi} A(0) e^{-K phi}, and the ordered product of
@@ -195,10 +189,9 @@ def _step_eigen(exponent, steps):
     ||K|| <= 1 and ||A(0)|| <= ||K||_F <= sqrt(2), the step factor's
     eigenphases lie within (1 + sqrt(2)) dphi < pi/2 of 0 for steps >= 16, as
     unitary_eigen requires.  The power raises these eigenphases alone: a
-    1-ulp change in one grows steps-fold, so the step factor and its
-    decomposition are those of unitary_power(step, steps), bitwise.
+    1-ulp change in one grows steps-fold, so uhlmann_holonomy and
+    uhlmann_phase take them from this one function.
     """
-    w, v = exponent
     dphi = 2 * np.pi / steps
     row_scale = np.exp(-dphi * generator_diagonal(v.shape[-1]))[:, None]
     return unitary_eigen(row_scale * spectral_matrix(v, np.exp(-1j * w * dphi)))
@@ -207,7 +200,7 @@ def _step_eigen(exponent, steps):
 def uhlmann_holonomy(rho, loop: LoopSpec, rank_eps=RANK_EPS):
     """Holonomy unitary V(2pi) accumulated over loop.steps grid points."""
     a0 = _loop_start(rho, loop.theta, rank_eps)[2]
-    phases, q = _step_eigen(antihermitian_eigen(a0), loop.steps)
+    phases, q = _step_eigen(*antihermitian_eigen(a0), loop.steps)
     return FULL_TURN_SIGN[a0.shape[-1]] * spectral_matrix(q, np.exp(1j * loop.steps * phases))
 
 
@@ -242,7 +235,7 @@ def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult:
     p, w_dag, a0 = _loop_start(rho, loop.theta, rank_eps)
     dim = len(p)
     values, vectors = antihermitian_eigen(np.array([a0, a0 - loop_generator(dim)]))
-    phases, q = _step_eigen(HermitianEigen(values[0], vectors[0]), loop.steps)
+    phases, q = _step_eigen(values[0], vectors[0], loop.steps)
     spectra = np.exp(1j * np.array([loop.steps * phases, -2 * np.pi * values[1]]))
     overlaps = w_dag @ np.array([q, vectors[1]])
     weights = p @ (overlaps.real ** 2 + overlaps.imag ** 2)
@@ -274,21 +267,20 @@ class PhaseRecord:
 
 
 def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
-                   quad_tol=CouplingRatio.quad_tol, rank_eps=RANK_EPS,
-                   corr: Correlators | None = None) -> PhaseRecord | tuple:
+                   rank_eps=RANK_EPS, corr: Correlators | None = None) -> PhaseRecord | tuple:
     """Evaluate the requested phase kinds at one coupling point (lambda, r)
     for a polar angle theta, giving one PhaseRecord, or for a sequence of
     them as one stack, giving a tuple with one PhaseRecord per theta whose
     fields are computed as arrays across the stack.  Every error is
     raised, the first met in the order of the kernel calls: those of the
-    coupling point (quadrature, correlator bounds, unphysical state) before
+    coupling point (lam, correlator bounds, unphysical state) before
     the kernels, then those of each kernel (rank, Hermiticity, and a
     vanishing visibility, which belongs to one theta of a stack); sweep
     drivers map errors to status rows.  kinds, theta, loop_steps and rank_eps
     are checked before any work, for every kind.  Each requested kind
     decomposes each state once.  corr gives the Correlators of (lam, r), as
     a sweep computes them for all its couplings at once; without it they
-    are computed here, from lam, r and quad_tol.
+    are computed here, from lam and r.
     """
     if not kinds or any(k not in KINDS for k in kinds):
         raise ValueError(f"kinds must be a non-empty subset of {KINDS}, got {tuple(kinds)}")
@@ -297,7 +289,7 @@ def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
         raise ValueError(f"rank_eps must be > 0, got {rank_eps}")
     if corr is not None and corr.r != r:
         raise ValueError(f"corr holds the correlators at r = {corr.r}, not at r = {r}")
-    c = correlators(r, CouplingRatio(lam, quad_tol)) if corr is None else corr
+    c = correlators(r, CouplingRatio(lam)) if corr is None else corr
     pair, single = two_site_state(c), single_site_state(c.m)
 
     # PhaseRecord's fields in order, each a list with one entry per theta

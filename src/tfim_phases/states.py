@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import UnphysicalStateError
 from .ising import BOUND_SLACK, Correlators, require_integer
-from .linalg import IDENTITY_2, SIGMA_Z
 
 __all__ = [
     "LoopSpec",
@@ -65,8 +64,8 @@ def single_site_state(m: float) -> np.ndarray:
     """(I + m Z) / 2 with |m| <= 1 (tiny overshoot clamped; NaN raises)."""
     if not abs(m) <= 1 + BOUND_SLACK:
         raise ValueError(f"m = {m}: |m| exceeds 1 beyond tolerance")
-    m = float(np.clip(m, -1.0, 1.0))
-    return (IDENTITY_2 + m * SIGMA_Z) / 2
+    m = min(max(m, -1.0), 1.0)
+    return np.diag([(1 + m) / 2, (1 - m) / 2]).astype(complex)
 
 
 def two_site_state(c: Correlators) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ising
 from .errors import RankDeficientError, UnphysicalStateError, VisibilityError
-from .ising import MAX_SEPARATION, CouplingRatio, require_integer
+from .ising import MAX_SEPARATION, CouplingRatio, check_quad_tol, require_integer
 from .phases import KINDS, RANK_EPS, PhaseRecord, compute_phases
 from .states import MIN_LOOP_STEPS, LoopSpec
 
@@ -59,12 +59,14 @@ class SweepConfig:
     theta_list: tuple = (np.pi / 3,)
     kinds: tuple = KINDS
     loop_steps: int = LoopSpec.steps
-    quad_tol: float = CouplingRatio.quad_tol
+    quad_tol: float = 1e-10
     rank_eps: float = RANK_EPS
     unwrap: bool = True
     output_path: str = ""
 
     def __post_init__(self):
+        for name in ("r_list", "theta_list", "kinds"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not 0 <= self.lambda_min < np.inf:
             raise ValueError(f"lambda_min must be finite and >= 0, got {self.lambda_min}")
         if not np.isfinite(self.lambda_max):
@@ -88,8 +90,7 @@ class SweepConfig:
         require_integer("loop_steps", self.loop_steps)
         if self.loop_steps < MIN_LOOP_STEPS:
             raise ValueError(f"loop_steps must be >= {MIN_LOOP_STEPS}, got {self.loop_steps}")
-        # quad_tol is checked as each point's CouplingRatio will check it
-        CouplingRatio(self.lambda_min, self.quad_tol)
+        check_quad_tol(self.quad_tol)
         if not self.rank_eps > 0:
             raise ValueError(f"rank_eps must be > 0, got {self.rank_eps}")
 
@@ -135,7 +136,7 @@ def _evaluate_coupling(config, thetas, coupling):
     try:
         records = compute_phases(
             lam, r, thetas, kinds=config.kinds, loop_steps=config.loop_steps,
-            quad_tol=config.quad_tol, rank_eps=config.rank_eps, corr=corr,
+            rank_eps=config.rank_eps, corr=corr,
         )
     except tuple(_STATUSES) as exc:
         if isinstance(exc, VisibilityError) and len(thetas) > 1:
@@ -180,18 +181,19 @@ def run_sweep(config: SweepConfig, workers: int = 1):
     the whole sorted theta_list, so each state is built once for all its
     theta rows.  A coupling whose correlators fail gets the status of that
     error on its rows alone.  Records come in (theta, r, lambda)
-    ascending order, independent of the worker count (>= 1; more than 1 runs
-    a process pool, with at most one worker per coupling point).  lambda runs
-    fastest, so each (theta, r) family is one run of lambda_steps records,
-    and each family's deviations are unwrapped along lambda on their own,
-    also when r_list or theta_list repeats a value.  With unwrap off, each
+    ascending order, independent of the worker count (an integer >= 1; more
+    than 1 runs a process pool, with at most one worker per coupling point).
+    lambda runs fastest, so each (theta, r) family is one run of lambda_steps
+    records, and each family's deviations are unwrapped along lambda on their
+    own, also when r_list or theta_list repeats a value.  With unwrap off, each
     row is a family of its own: np.unwrap of one value returns it.
     """
     if not workers >= 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    require_integer("workers", workers)
     lams = [float(lam) for lam in config.lambda_grid()]
     r_values = sorted(set(config.r_list))
-    table = _correlator_table(r_values, [CouplingRatio(lam, config.quad_tol) for lam in lams])
+    table = _correlator_table(r_values, [CouplingRatio(lam) for lam in lams])
     couplings = [(lam, int(r), row[r_values.index(r)]) for r in sorted(config.r_list)
                  for lam, row in zip(lams, table)]
     evaluate = functools.partial(_evaluate_coupling, config, tuple(sorted(config.theta_list)))
@@ -226,7 +228,7 @@ def _row_fields(rec: SweepRecord, quad_tol):
             str(rec.record.steps_used), _fmt(quad_tol), rec.status]
 
 
-def emit_csv(records, path, quad_tol=CouplingRatio.quad_tol):
+def emit_csv(records, path, quad_tol=SweepConfig.quad_tol):
     """Write records in grid order; floats carry 12 significant digits."""
     lines = [CSV_HEADER] + [",".join(_row_fields(rec, quad_tol)) for rec in records]
     with open(path, "w") as fh:
@@ -245,7 +247,7 @@ def read_csv(path):
         raise ValueError(f"unexpected header in {path}")
     names = CSV_HEADER.split(",")
     records = []
-    quad_tol = CouplingRatio.quad_tol
+    quad_tol = SweepConfig.quad_tol
     for ln in lines[1:]:
         f = ln.split(",")
         if len(f) != len(names):

@@ -1,13 +1,21 @@
 """Reference implementations that only the tests use.
 
-* ``SIGMA_X``, ``SIGMA_Y``, ``commutator`` and ``sqrt_psd``: the Pauli X and
-  Y matrices, AB - BA, and the Hermitian PSD square root from
+* ``SIGMA_X``, ``SIGMA_Y``, ``SIGMA_Z``, ``commutator`` and ``sqrt_psd``: the
+  Pauli matrices, AB - BA, and the Hermitian PSD square root from
   ``hermitian_eigen``, the kernels that the tests build their oracles from.
+* ``expm_antihermitian`` and ``unitary_power``: exp(A s) and u^n composed
+  from the ``linalg`` primitives, ``antihermitian_eigen`` or
+  ``unitary_eigen`` and then ``spectral_matrix``, with the arithmetic that
+  the Uhlmann kernel's step factor and power use.
 * ``evolve``: the loop's state U(phi) rho U(phi)^dag from ``loop_unitary``.
 * ``dense_exact_diag_correlators``: the exact-diagonalization oracle with the
   full dense 2^n Hamiltonian and ``scipy.linalg.eigh``, against which the
   symmetry-reduced solver of ``ising.exact_diag_correlators`` is pinned.  It
   costs about 8 s at n = 12, so the suite uses it up to n = 10.
+* ``ed_ground_states`` and ``traced_pair_state``: the exact-diagonalization
+  ground states that ``ising.exact_diag_correlators`` averages over, and
+  their mean reduced state on sites (0, r), against which ``two_site_state``
+  of the ED correlators is pinned.
 * ``finite_ring_elements`` and ``free_fermion_ring_correlators``: the
   exact correlators of the even-parity ground state of the n-site ring from
   its antiperiodic free fermions, with a Toeplitz layout of their own,
@@ -21,22 +29,35 @@
   factors e^{2 pi K} and e^{-K dphi} applied as matrix products built by
   ``loop_unitary``, against which the kernels' exact full-turn sign and
   row scale are pinned.
-* ``row_scale_holonomy``: the finite-step holonomy
-  FULL_TURN_SIGN * unitary_power(step, N), with its step factor, the
-  exponential and the power written out in numpy alone, against which
-  ``uhlmann_holonomy`` is pinned bitwise.
+* ``row_scale_holonomy``: the finite-step holonomy FULL_TURN_SIGN * step^N,
+  with its step factor, the exponential and the power written out in numpy
+  alone, against which ``uhlmann_holonomy`` is pinned bitwise.
 """
 
 import numpy as np
 import scipy.linalg
 
 from tfim_phases import ising
-from tfim_phases.linalg import expm_antihermitian, hermitian_eigen, unitary_power
+from tfim_phases.linalg import antihermitian_eigen, hermitian_eigen, spectral_matrix, unitary_eigen
 from tfim_phases.phases import _loop_start, wrap_angle
 from tfim_phases.states import FULL_TURN_SIGN, generator_diagonal, loop_generator, loop_unitary
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def expm_antihermitian(a, s=1.0):
+    """exp(A s) for an anti-Hermitian A (or a stack): v e^{-i w s} v^dag from
+    the antihermitian_eigen (w, v) of A."""
+    w, v = antihermitian_eigen(a)
+    return spectral_matrix(v, np.exp(-1j * w * s))
+
+
+def unitary_power(u, n):
+    """u^n = Q e^{i n w} Q^dag from the unitary_eigen (w, Q) of u (or a stack)."""
+    phases, q = unitary_eigen(u)
+    return spectral_matrix(q, np.exp(1j * n * phases))
 
 
 def sqrt_psd(m):
@@ -84,6 +105,27 @@ def dense_exact_diag_correlators(n_sites, lam):
     ising.check_chain_size(n_sites)
     w, v = scipy.linalg.eigh(dense_chain_hamiltonian(n_sites, lam), subset_by_index=[0, 1])
     return ising._ground_correlators(n_sites, w, v)
+
+
+def ed_ground_states(n_sites, lam):
+    """The states that exact_diag_correlators averages over, as columns over
+    the 2^n basis: the lower sector ground state, and the other one too when
+    the two are quasi-degenerate (gap below ising._DEGENERACY_GAP)."""
+    energies, vectors = ising._sector_ground_states(n_sites, lam)
+    order = np.argsort(energies)
+    kept = 2 if energies[order[1]] - energies[order[0]] < ising._DEGENERACY_GAP else 1
+    return vectors[:, order[:kept]]
+
+
+def traced_pair_state(states, r):
+    """Mean over the columns psi of states of |psi><psi| traced down to sites
+    0 and r, in the basis |s_0 s_r> with site 0 the left factor.  Bit j of a
+    basis index is site j, and bit value 0 is the Z = +1 state |0>."""
+    n_sites = states.shape[0].bit_length() - 1
+    # axis n - j of each state's tensor is site j
+    tensors = states.T.reshape(-1, *(2,) * n_sites)
+    pair = np.moveaxis(tensors, [n_sites, n_sites - r], [1, 2]).reshape(len(tensors), 4, -1)
+    return np.mean(pair @ pair.conj().swapaxes(-1, -2), axis=0)
 
 
 def finite_ring_elements(n_sites, lam, k):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -170,7 +171,8 @@ class TestMagnetization:
         assert magnetization(CouplingRatio(1.0)) == pytest.approx(2 / np.pi, abs=1e-12)
 
     def test_frozen_value_at_half(self):
-        m = magnetization(CouplingRatio(0.5, quad_tol=1e-12))
+        ising.check_quad_tol(1e-12)  # a request at the error floor is met
+        m = magnetization(CouplingRatio(0.5))
         assert m == pytest.approx(MAGNETIZATION_HALF, abs=1e-11)
 
     @pytest.mark.parametrize("lam", [0.3, 0.9, 1.0, 1.05, 1.7, 2.5])
@@ -181,16 +183,21 @@ class TestMagnetization:
     def test_nonconvergence_raises_with_residual(self):
         # a request below the error floor of the closed form cannot be met
         with pytest.raises(QuadratureError) as exc:
-            magnetization(CouplingRatio(0.999999, quad_tol=1e-15))
+            ising.check_quad_tol(1e-15)
         assert exc.value.residual == ising.ERROR_FLOOR > 0
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             CouplingRatio(-0.1)
         with pytest.raises(ValueError):
-            CouplingRatio(1.0, quad_tol=0.0)
+            ising.check_quad_tol(0.0)
         with pytest.raises(ValueError, match="quad_tol must be > 0"):
-            CouplingRatio(1.0, quad_tol=float("nan"))
+            ising.check_quad_tol(float("nan"))
+
+    def test_coupling_ratio_carries_lam_alone(self):
+        assert [f.name for f in dataclasses.fields(CouplingRatio)] == ["lam"]
+        with pytest.raises(TypeError):
+            CouplingRatio(1.0, 1e-10)
 
 
 class TestToeplitzElements:
@@ -323,12 +330,14 @@ class TestClosedForm:
                 <= ising.ERROR_FLOOR)
 
     def test_request_below_error_floor_raises(self):
-        with pytest.raises(QuadratureError, match="error floor") as exc:
-            correlators(1, CouplingRatio(1.0, quad_tol=1e-30))
+        with pytest.raises(QuadratureError) as exc:
+            ising.check_quad_tol(1e-30)
+        assert str(exc.value) == ("quad_tol 1.000e-30 is below the error floor 1e-12 of the "
+                                  "closed form (residual estimate 1.000e-12)")
         assert exc.value.residual == ising.ERROR_FLOOR
         with pytest.raises(QuadratureError):
-            ground_energy_density(CouplingRatio(0.5, quad_tol=ising.ERROR_FLOOR / 2))
-        correlators(1, CouplingRatio(1.0, quad_tol=ising.ERROR_FLOOR))
+            ising.check_quad_tol(ising.ERROR_FLOOR / 2)
+        ising.check_quad_tol(ising.ERROR_FLOOR)
 
     def test_no_special_function_library_loaded(self):
         # scipy.special, scipy.integrate and mpmath would add to the import

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from tfim_phases.linalg import (
+from tfim_phases.linalg import antihermitian_eigen, hermitian_eigen
+
+from oracles import (
+    SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
+    commutator,
     expm_antihermitian,
-    hermitian_eigen,
+    sqrt_psd,
     unitary_power,
 )
-
-from oracles import SIGMA_X, SIGMA_Y, commutator, sqrt_psd
 
 
 def random_hermitian(rng, dim):
@@ -97,6 +100,9 @@ class TestSqrtPsd:
 
 
 class TestExpmAntihermitian:
+    """exp(A s) from antihermitian_eigen and spectral_matrix; the input checks
+    are antihermitian_eigen's."""
+
     def test_zero_generator(self):
         assert np.allclose(expm_antihermitian(np.zeros((4, 4)), s=3.7), np.eye(4))
 
@@ -115,11 +121,11 @@ class TestExpmAntihermitian:
 
     def test_rejects_non_antihermitian(self):
         with pytest.raises(ValueError, match="anti-Hermitian"):
-            expm_antihermitian(SIGMA_Z)
+            antihermitian_eigen(SIGMA_Z)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match=r"^matrix is not anti-Hermitian: .* = nan >"):
-            expm_antihermitian(np.full((2, 2), np.nan))
+            antihermitian_eigen(np.full((2, 2), np.nan))
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_stack_equals_matrix_calls(self, dim):
@@ -133,10 +139,12 @@ class TestExpmAntihermitian:
     def test_defect_anywhere_in_stack_rejected(self):
         stack = np.array([1j * SIGMA_Z, SIGMA_Z])
         with pytest.raises(ValueError, match="anti-Hermitian"):
-            expm_antihermitian(stack)
+            antihermitian_eigen(stack)
 
 
 class TestUnitaryPower:
+    """u^n from unitary_eigen and spectral_matrix."""
+
     def test_matches_repeated_product(self):
         rng = np.random.default_rng(7)
         for dim in (2, 4):

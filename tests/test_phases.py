@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tfim_phases import linalg, phases
 from tfim_phases.errors import RankDeficientError, VisibilityError
 from tfim_phases.ising import CouplingRatio, correlators
-from tfim_phases.linalg import IDENTITY_2, SIGMA_Z, hermitian_eigen
+from tfim_phases.linalg import hermitian_eigen
 from tfim_phases.phases import (
     _VISIBILITY_EPS,
     KINDS,
@@ -31,6 +31,7 @@ from tfim_phases.states import (
 from tfim_phases.sweep import SweepConfig, run_sweep
 
 from oracles import (
+    SIGMA_Z,
     commutator,
     evolve,
     product_form_holonomy,
@@ -163,7 +164,7 @@ class TestLoopGenerator:
         assert np.allclose(loop_generator(2), 0.5j * SIGMA_Z)
 
     def test_pair_form(self):
-        expected = 0.5j * (np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z))
+        expected = 0.5j * (np.kron(SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), SIGMA_Z))
         assert np.allclose(loop_generator(4), expected)
 
     def test_antihermitian(self):
@@ -520,9 +521,9 @@ class TestUhlmannPhase:
     def test_one_finite_step_holonomy_per_phase(self, monkeypatch):
         calls = []
 
-        def counting_step_eigen(exponent, steps):
+        def counting_step_eigen(w, v, steps):
             calls.append(steps)
-            return step_eigen(exponent, steps)
+            return step_eigen(w, v, steps)
 
         step_eigen = phases._step_eigen
         monkeypatch.setattr(phases, "_step_eigen", counting_step_eigen)

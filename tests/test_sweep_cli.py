@@ -134,6 +134,20 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="workers must be >= 1, got nan"):
             run_sweep(small_config(), workers=float("nan"))
 
+    def test_non_integer_workers_rejected_before_any_correlator(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a correlator or a grid point ran")
+
+        monkeypatch.setattr(ising, "correlators", no_work)
+        monkeypatch.setattr(sweep, "compute_phases", no_work)
+        for workers in (2.0, 1.5, True, np.True_):
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                run_sweep(small_config(), workers=workers)
+
+    def test_numpy_integer_workers_accepted(self):
+        config = small_config(lambda_steps=4)
+        assert run_sweep(config, workers=np.int64(2)) == run_sweep(config, workers=1)
+
     def test_pool_has_at_most_one_worker_per_point(self, monkeypatch):
         # a fork-based pool starts all of its workers at once, so the count is
         # read from a stand-in executor that runs the points in this process
@@ -499,6 +513,19 @@ class TestConfigValidation:
 
     def test_boundary_values_accepted(self):
         SweepConfig(theta_list=(0.0, np.pi), loop_steps=16)
+
+    def test_sequences_are_stored_as_tuples(self, tmp_path):
+        configs = [small_config(r_list=make([2, 1]), theta_list=make([1.0, 0.5]),
+                                kinds=make(["interferometric"]))
+                   for make in (np.array, list, tuple)]
+        csvs = []
+        for i, config in enumerate(configs):
+            assert all(type(getattr(config, name)) is tuple
+                       for name in ("r_list", "theta_list", "kinds"))
+            assert config == configs[-1] and hash(config) == hash(configs[-1])
+            emit_csv(run_sweep(config), tmp_path / f"{i}.csv")
+            csvs.append((tmp_path / f"{i}.csv").read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
 
 
 class TestCli:
