@@ -4,7 +4,8 @@ Everything here operates on plain ``numpy`` arrays (2x2 and 4x4 complex).
 The kernels are eigen-level primitives: ``hermitian_eigen``,
 ``antihermitian_eigen`` and ``unitary_eigen``, which carry the input checks,
 and ``spectral_matrix``, which builds a function of a matrix from its
-decomposition.  A caller that needs only the spectrum (as the Uhlmann kernel
+decomposition.  ``hermitian_part`` is ``hermitian_eigen``'s check and
+symmetrization alone, for the closed forms of a 2x2 state.  A caller that needs only the spectrum (as the Uhlmann kernel
 does for its traces) gets it from the same decomposition that a matrix
 function of it would use, bitwise.
 """
@@ -33,22 +34,29 @@ _PARITY_ORDER = {dim: (np.ix_(order, order), np.argsort(order))
                  for dim, order in ((2, [0, 1]), (4, [0, 3, 1, 2]))}
 
 
-def hermitian_eigen(m):
-    """Eigendecomposition of a 2x2 or 4x4 Hermitian matrix in Z-parity order,
-    with no phase convention.
-
-    The input is symmetrized; a deviation from Hermiticity beyond _HERMITICITY_TOL
-    raises.  A matrix that conserves Z parity, as every reduced state does, is block
-    diagonal in that order, so each eigenvector lies in one block, also at a crossing.
-    """
+def hermitian_part(m):
+    """(M + M^dag) / 2 of a square matrix M; a deviation from Hermiticity beyond
+    _HERMITICITY_TOL raises."""
     m = np.asarray(m, dtype=complex)
     m_dag = m.conj().T
     defect = float(np.abs(m - m_dag).max())
     if not defect <= _HERMITICITY_TOL:  # NaN fails
         raise ValueError(f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
                          f"> {_HERMITICITY_TOL:.1e}")
-    blocks, inverse = _PARITY_ORDER[m.shape[0]]
-    w, v = np.linalg.eigh((m + m_dag)[blocks] / 2)
+    return (m + m_dag) / 2
+
+
+def hermitian_eigen(m):
+    """Eigendecomposition of a 2x2 or 4x4 Hermitian matrix in Z-parity order,
+    with no phase convention.
+
+    The input is symmetrized by hermitian_part, which checks it.  A matrix that
+    conserves Z parity, as every reduced state does, is block diagonal in that
+    order, so each eigenvector lies in one block, also at a crossing.
+    """
+    h = hermitian_part(m)
+    blocks, inverse = _PARITY_ORDER[h.shape[0]]
+    w, v = np.linalg.eigh(h[blocks])
     return HermitianEigen(w, v[inverse])
 
 

@@ -4,8 +4,8 @@ Two notions are implemented for both the single-site and two-site reduced
 states.  Since U(phi) = e^{K phi} U(0), with K diagonal and the full turn
 e^{2 pi K} the exact sign FULL_TURN_SIGN[dim], each uses no loop unitary
 but U(0), which states.start_unitary builds once per theta (or theta stack)
-and dimension, and each takes one eigendecomposition rho = v p v^dag, whose
-eigenvectors the loop carries to w = U(0) v:
+and dimension.  On the 4x4 pair each takes one eigendecomposition
+rho = v p v^dag, whose eigenvectors the loop carries to w = U(0) v:
 
 * the interferometric phase: argument of the eigenvalue-weighted sum of loop
   amplitudes <w_n|e^{2 pi K}|w_n> with the connection phase
@@ -25,16 +25,25 @@ eigenvectors the loop carries to w = U(0) v:
   eigenphases, bitwise: the power multiplies an eigenphase by loop.steps,
   and with it any change in its last bit.
 
+A 2x2 state takes no decomposition: both kernels evaluate it in closed form
+from its Bloch vector (see _single_site_interferometric and
+_single_site_uhlmann), per theta in math scalars, after the same
+Hermiticity, rank and visibility checks.  There the step factor lies in
+SU(2), so its power is exact in closed form.  uhlmann_holonomy and
+uhlmann_connection stay spectral on both dimensions.
+
 Each kernel follows numpy's shape rule in theta (the Uhlmann kernel's
 LoopSpec.theta): a float gives floats, and a 1-D sequence, evaluated as one
-stack of loops from the one decomposition, gives arrays of its length.
+stack of loops from the one decomposition (on one site, the one Bloch
+vector), gives arrays of its length.
 Every failure is raised, for a stack as for a float: a VisibilityError if
 any amplitude or trace vanishes, naming the smallest.
 
 Both deviations delta_gamma and delta_gamma_u compare the two-site phase
-against twice the single-site phase, each computed with the same code path
-as its two-site counterpart, which keeps the deviations free of the spinor
-sign of the 2*pi z-rotation.
+against twice the single-site phase.  Each single-site amplitude and trace
+carries the spinor sign FULL_TURN_SIGN[2] = -1 of the 2*pi z-rotation, the
+leading minus of the closed forms, which twice is a turn of 2*pi, so the
+deviations are free of it.
 
 Loop orientation: with the half-angle convention of ``loop_unitary`` the
 Bloch vector traverses the theta-cone clockwise, so the pure-state limit of
@@ -45,13 +54,20 @@ agree modulo pi; tests pin this down numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RankDeficientError, VisibilityError
 from .ising import CouplingRatio, Correlators, correlators
-from .linalg import antihermitian_eigen, hermitian_eigen, spectral_matrix, unitary_eigen
+from .linalg import (
+    antihermitian_eigen,
+    hermitian_eigen,
+    hermitian_part,
+    spectral_matrix,
+    unitary_eigen,
+)
 from .states import (
     FULL_TURN_SIGN,
     LoopSpec,
@@ -126,7 +142,10 @@ def interferometric_phase_from_eigen(p, v, theta):
 
 def interferometric_phase(rho, theta):
     """Interferometric phase of a 2x2 or 4x4 density matrix along the loop,
-    shaped like theta, as from the eigen form."""
+    shaped like theta: in closed form on a 2x2 state, as from the eigen form
+    on the pair."""
+    if np.shape(rho) == (2, 2):
+        return _single_site_interferometric(rho, theta)
     eig = hermitian_eigen(rho)
     return interferometric_phase_from_eigen(eig.values, eig.vectors, theta)
 
@@ -223,7 +242,8 @@ def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult:
 
     Both fields have loop.theta's shape: floats for a float, arrays for a
     sequence, which is evaluated as one stack from one decomposition of rho.
-    Neither V(2pi) nor V_inf is formed.  One antihermitian_eigen of the stack
+    A 2x2 state takes the closed form of _single_site_uhlmann; on the pair,
+    neither V(2pi) nor V_inf is formed.  One antihermitian_eigen of the stack
     [A(0), A(0) - K] gives the step factor's exponent and V_inf = e^{2 pi K}
     Y e^{-2 pi i mu} Y^dag; with V(2pi) = e^{2 pi K} Q e^{i N phi} Q^dag from
     _step_eigen and rho(0; theta) = w p w^dag, each trace is
@@ -232,6 +252,8 @@ def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult:
     visibility checks hold for the whole stack, and a VisibilityError names
     the smallest trace of the first of V(2pi) and V_inf that vanishes.
     """
+    if np.shape(rho) == (2, 2):
+        return _single_site_uhlmann(rho, loop, rank_eps)
     p, w_dag, a0 = _loop_start(rho, loop.theta, rank_eps)
     dim = len(p)
     values, vectors = antihermitian_eigen(np.array([a0, a0 - loop_generator(dim)]))
@@ -241,6 +263,93 @@ def uhlmann_phase(rho, loop: LoopSpec, rank_eps=RANK_EPS) -> UhlmannResult:
     weights = p @ (overlaps.real ** 2 + overlaps.imag ** 2)
     traces = FULL_TURN_SIGN[dim] * (weights * spectra).sum(axis=-1)
     gamma_n, gamma_inf = _phases(traces, in_order=True)
+    return UhlmannResult(gamma_n, np.abs(wrap_angle(gamma_n - gamma_inf)))
+
+
+# ---------------------------------------------------------------------------
+# one site in closed form
+# ---------------------------------------------------------------------------
+
+def _bloch(rho):
+    """(t, |b|, n) of a 2x2 state rho = (t I + b.sigma) / 2, after the
+    Hermiticity check of hermitian_eigen, with n = b / |b|, or z at b = 0,
+    the eigenvector that hermitian_eigen gives there."""
+    (h00, _), (h10, h11) = hermitian_part(rho).tolist()
+    t = h00.real + h11.real
+    b = (2 * h10.real, 2 * h10.imag, h00.real - h11.real)
+    norm = math.hypot(*b)
+    return t, norm, tuple(x / norm for x in b) if norm else (0.0, 0.0, 1.0)
+
+
+def _polar_angles(n, theta):
+    """theta's shape, and for each of its entries the cosine c and the sine
+    s >= 0 of the polar angle of R_y(theta) n, the Bloch direction of
+    rho(0; theta).
+
+    Each entry is computed on its own in math scalars, so an entry of a stack
+    equals the float call bitwise, which numpy's vectorized sin and cos do not
+    guarantee.
+    """
+    theta = np.asarray(theta, dtype=float)
+    nx, ny, nz = n
+    angles = []
+    for x in theta.ravel().tolist():
+        cos_t, sin_t = math.cos(x), math.sin(x)
+        angles.append((nz * cos_t - nx * sin_t, math.hypot(nx * cos_t + nz * sin_t, ny)))
+    return theta.shape, angles
+
+
+def _single_site_interferometric(rho, theta):
+    """interferometric_phase of a 2x2 state: the eigenvectors of rho(0; theta)
+    have the weights (t +- |b|) / 2 and <K> = +-i c / 2, so the amplitude is
+    -(t cos(pi c) - i |b| sin(pi c))."""
+    t, norm, n = _bloch(rho)
+    shape, angles = _polar_angles(n, theta)
+    amplitudes = [complex(-t * math.cos(math.pi * c), norm * math.sin(math.pi * c))
+                  for c, _ in angles]
+    return _phases(np.array(amplitudes).reshape(shape))
+
+
+def _single_site_uhlmann(rho, loop: LoopSpec, rank_eps) -> UhlmannResult:
+    """uhlmann_phase of a 2x2 state, in closed form.
+
+    With m = |b| / t and c, s the polar cosine and sine of rho(0; theta)'s
+    Bloch direction, A(0) = (i f s / 2) e.sigma, where e is the unit vector
+    normal to it towards z and f = (sqrt p+ - sqrt p-)^2 / t
+    = m^2 / (1 + sqrt(1 - m^2)).  With a = pi / N and beta = f s a, the step
+    factor e^{-K dphi} e^{A(0) dphi} = (cos a - i sin a Z)(cos beta +
+    i sin beta e.sigma) lies in SU(2): it is cos alpha + i v.sigma with
+    |v| = sin alpha, so its N-th power is cos N alpha + i sin(N alpha) v.sigma
+    / |v|, exactly, and with n.v = -c cos beta sin a,
+    Tr[rho(0) V(2pi)] = -t cos N alpha + i |b| c cos beta sin a sin(N alpha) / |v|.
+    In the limit, A(0) - K = (i w / 2) u.sigma with |u| = 1 and
+    w = sqrt(1 - m^2 s^2), so Tr[rho(0) V_inf] = -t cos pi w + i |b| c sin(pi w) / w.
+    |v| = 0 or w = 0 needs c = 0, so there the limits of the ratios, N and pi,
+    only avoid 0 / 0.  The checks are uhlmann_phase's: Hermiticity, the rank of
+    p- = (t - |b|) / 2, then the visibility of both traces in order.
+    """
+    t, norm, n = _bloch(rho)
+    p_minus = (t - norm) / 2
+    if not p_minus >= rank_eps:
+        raise RankDeficientError(p_minus, rank_eps)
+    m = norm / t
+    f = m * m / (1 + math.sqrt((1 - m) * (1 + m)))
+    steps = loop.steps
+    a = math.pi / steps
+    cos_a, sin_a = math.cos(a), math.sin(a)
+    shape, angles = _polar_angles(n, loop.theta)
+    traces = []
+    for c, s in angles:
+        cos_b, sin_b = math.cos(f * s * a), math.sin(f * s * a)
+        v_norm = math.hypot(sin_b * c, cos_a * sin_b * s - cos_b * sin_a)
+        alpha = math.atan2(v_norm, cos_a * cos_b + sin_a * sin_b * s)
+        ratio = math.sin(steps * alpha) / v_norm if v_norm else steps
+        # m s <= 1 but for a rounding of s
+        w = math.sqrt(max(1 - m * s, 0.0) * (1 + m * s))
+        ratio_inf = math.sin(math.pi * w) / w if w else math.pi
+        traces.append((complex(-t * math.cos(steps * alpha), norm * c * cos_b * sin_a * ratio),
+                       complex(-t * math.cos(math.pi * w), norm * c * ratio_inf)))
+    gamma_n, gamma_inf = _phases(np.array(traces).T.reshape(2, *shape), in_order=True)
     return UhlmannResult(gamma_n, np.abs(wrap_angle(gamma_n - gamma_inf)))
 
 
@@ -278,7 +387,8 @@ def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
     vanishing visibility, which belongs to one theta of a stack); sweep
     drivers map errors to status rows.  kinds, theta, loop_steps and rank_eps
     are checked before any work, for every kind.  Each requested kind
-    decomposes each state once.  corr gives the Correlators of (lam, r), as
+    decomposes the pair once and evaluates the single site in closed form.
+    corr gives the Correlators of (lam, r), as
     a sweep computes them for all its couplings at once; without it they
     are computed here, from lam and r.
     """

@@ -32,8 +32,14 @@
 * ``row_scale_holonomy``: the finite-step holonomy FULL_TURN_SIGN * step^N,
   with its step factor, the exponential and the power written out in numpy
   alone, against which ``uhlmann_holonomy`` is pinned bitwise.
+* ``mpmath_single_site_traces``: the interferometric amplitude and both
+  Uhlmann traces of a 2x2 state at 30 digits, the step factor's power by
+  repeated squaring, against which the single-site closed forms are pinned
+  on general Bloch vectors, where the double-precision spectral path loses
+  digits.
 """
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -222,16 +228,21 @@ def row_scale_holonomy(a0, steps):
 
 
 def product_form_uhlmann(rho, theta, steps, rank_eps=1e-8):
-    """(gamma_N, |wrap(gamma_N - gamma_inf)|) per theta of a 1-D theta, with
-    V_inf = e^{2 pi K} e^{2 pi (A(0) - K)} as a matrix product."""
+    """(gamma_N, |wrap(gamma_N - gamma_inf)|, visibility) per theta of a 1-D
+    theta, with V_inf = e^{2 pi K} e^{2 pi (A(0) - K)} as a matrix product and
+    the visibility the smaller of |Tr[rho(0) V(2pi)]| and |Tr[rho(0) V_inf]|.
+    It takes the spectral path on a 2x2 state too, as a reference for the
+    single site's closed form."""
     p, w_dag, a0 = _loop_start(rho, np.atleast_1d(theta), rank_eps)
     base = (w_dag.conj().swapaxes(-1, -2) * p) @ w_dag
     dim = a0.shape[-1]
     v_inf = loop_unitary(2 * np.pi, 0.0, dim) @ expm_antihermitian(
         a0 - loop_generator(dim), 2 * np.pi)
-    gamma_n, gamma_inf = (np.angle(np.trace(base @ v, axis1=-2, axis2=-1))
-                          for v in (product_form_holonomy(a0, steps), v_inf))
-    return gamma_n, np.abs(wrap_angle(gamma_n - gamma_inf))
+    traces = [np.trace(base @ v, axis1=-2, axis2=-1)
+              for v in (product_form_holonomy(a0, steps), v_inf)]
+    gamma_n, gamma_inf = np.angle(traces)
+    return (gamma_n, np.abs(wrap_angle(gamma_n - gamma_inf)),
+            np.minimum(*np.abs(traces)))
 
 
 def product_form_interferometric(rho, theta):
@@ -244,3 +255,34 @@ def product_form_interferometric(rho, theta):
     overlaps = np.exp(2 * np.pi * k) @ weights
     rates = k @ weights
     return np.angle(np.sum(p * overlaps * np.exp(-2 * np.pi * rates), axis=-1))
+
+
+def mpmath_single_site_traces(rho, theta, steps, dps=30):
+    """The interferometric amplitude and the traces Tr[rho(0) V(2pi)] and
+    Tr[rho(0) V_inf] of a 2x2 state at dps digits, as Python complex numbers.
+
+    From mpmath's eighe of rho(0; theta): the amplitude
+    -sum_n p_n e^{-2 pi <n|K|n>}, A(0) in that eigenbasis,
+    V(2pi) = -step^N by repeated squaring of step = e^{-K dphi} e^{A(0) dphi},
+    and V_inf = -e^{2 pi (A(0) - K)}.
+    """
+    with mpmath.workdps(dps):
+        half = mpmath.mpf(theta) / 2
+        u0 = mpmath.matrix([[mpmath.cos(half), -mpmath.sin(half)],
+                            [mpmath.sin(half), mpmath.cos(half)]])
+        rho0 = u0 * mpmath.matrix(np.asarray(rho, dtype=complex).tolist()) * u0.H
+        p, v = mpmath.eighe((rho0 + rho0.H) / 2)
+        k = mpmath.diag([mpmath.mpc(0, 0.5), mpmath.mpc(0, -0.5)])
+        k_eig = v.H * k * v
+        amplitude = -sum(p[n] * mpmath.exp(-2 * mpmath.pi * k_eig[n, n]) for n in range(2))
+        a0 = v * mpmath.matrix([[k_eig[i, j] * (mpmath.sqrt(p[j]) - mpmath.sqrt(p[i])) ** 2
+                                 / (p[i] + p[j]) for j in range(2)] for i in range(2)]) * v.H
+        dphi = 2 * mpmath.pi / steps
+        factor, power = mpmath.expm(-k * dphi) * mpmath.expm(a0 * dphi), mpmath.eye(2)
+        while steps:
+            if steps & 1:
+                power = power * factor
+            factor, steps = factor * factor, steps >> 1
+        traces = [-(rho0 * x)[0, 0] - (rho0 * x)[1, 1]
+                  for x in (power, mpmath.expm(2 * mpmath.pi * (a0 - k)))]
+        return tuple(complex(x) for x in (amplitude, *traces))

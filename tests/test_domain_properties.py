@@ -13,7 +13,19 @@ from one run of each on a grid plus random points:
 * rephasing the eigenvectors moves the interferometric phase by at most
   18 eps / |a| on the pair and 8 eps / |a| on one site (r in [1, 20],
   lambda in [0, 3], theta in [0, pi]): a unit phase factor has modulus 1
-  only to round-off, so each weight |U(0) v|^2 moves by about eps.
+  only to round-off, so each weight |U(0) v|^2 moves by about eps;
+* the single site's closed-form Uhlmann kernel is within 12 eps / v of the
+  spectral path (``oracles.product_form_uhlmann``), v the smaller of
+  |Tr[rho(0) V(2pi)]| and |Tr[rho(0) V_inf]|, in phase and step error
+  (12000 random points, m in [0, 1 - 1e-6], steps in [16, 8000]).  The
+  spectral path's step-factor eigenphases are off by about eps / steps, so
+  its power stays within a few eps;
+* both deviations are odd under theta -> pi - theta (lambda in [0.3, 3],
+  r <= 11, theta in [0.05, pi - 0.05], 2000 steps, 1500 random points):
+  delta_gamma within 15 eps / a and delta_gamma_u and the two step errors
+  within 51 eps / v, with a the smaller single-site or pair amplitude and v
+  the smallest of the four Uhlmann traces (1.2e-14, 1.7e-13 and 2.6e-13
+  absolute).
 """
 
 import numpy as np
@@ -31,14 +43,16 @@ from tfim_phases.ising import (
 from tfim_phases.linalg import hermitian_eigen
 from tfim_phases.phases import (
     PhaseRecord,
+    compute_phases,
     interferometric_phase,
     interferometric_phase_from_eigen,
+    uhlmann_phase,
     wrap_angle,
 )
-from tfim_phases.states import single_site_state, two_site_state
+from tfim_phases.states import LoopSpec, single_site_state, two_site_state
 from tfim_phases.sweep import SweepRecord, emit_csv, read_csv
 
-from oracles import pair_amplitude, single_amplitude
+from oracles import pair_amplitude, product_form_uhlmann, single_amplitude
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 EPS = np.finfo(float).eps
@@ -105,6 +119,37 @@ def test_interferometric_phase_factorizes_over_product_states(m, theta):
     delta = wrap_angle(interferometric_phase(pair, theta)
                        - 2 * interferometric_phase(single_site_state(m), theta))
     assert abs(delta) * visibility <= 40 * EPS
+
+
+@SETTINGS
+@given(m=st.floats(0.0, 1 - 1e-6), theta=st.floats(0.0, np.pi), steps=st.integers(16, 8000))
+def test_single_site_uhlmann_matches_spectral_path(m, theta, steps):
+    # the kernel's closed form against the eigendecompositions of the 4x4
+    # path, run on the 2x2 state; p- >= 5e-7 passes the default rank_eps
+    rho = single_site_state(m)
+    gamma_n, step_error, visibility = (x[0] for x in product_form_uhlmann(rho, theta, steps))
+    assume(visibility >= MIN_VISIBILITY)
+    result = uhlmann_phase(rho, LoopSpec(theta=theta, steps=steps))
+    assert abs(wrap_angle(result.phase - gamma_n)) <= 64 * EPS / visibility
+    assert abs(result.convergence_estimate - step_error) <= 64 * EPS / visibility
+
+
+@SETTINGS
+@given(r=st.integers(1, 11), lam=st.floats(0.3, 3.0), theta=st.floats(0.05, np.pi - 0.05))
+def test_deviations_are_odd_under_theta_reflection(r, lam, theta):
+    # the loop's cone at pi - theta mirrors the one at theta through the xy
+    # plane, which reverses each phase, and with it each deviation
+    thetas = (theta, np.pi - theta)
+    c = correlators(r, CouplingRatio(lam))
+    amplitude = min(abs(pair_amplitude(c, theta)), abs(single_amplitude(c.m, theta)))
+    visibility = min(product_form_uhlmann(rho, thetas, 2000)[2].min()
+                     for rho in (two_site_state(c), single_site_state(c.m)))
+    assume(min(amplitude, visibility) >= MIN_VISIBILITY)
+    first, mirrored = compute_phases(lam, r, thetas, loop_steps=2000, corr=c)
+    assert abs(wrap_angle(first.delta_gamma + mirrored.delta_gamma)) <= 64 * EPS / amplitude
+    assert abs(wrap_angle(first.delta_gamma_u + mirrored.delta_gamma_u)) <= 256 * EPS / visibility
+    assert abs(first.convergence_estimate
+               - mirrored.convergence_estimate) <= 256 * EPS / visibility
 
 
 def optional(values):

@@ -530,8 +530,9 @@ class TestUhlmannPhase:
         uhlmann_phase(model_pair(1.5), LoopSpec(theta=THETA, steps=500))
         assert calls == [500]
         calls.clear()
+        # the single site's step factor is raised in closed form
         compute_phases(1.5, 1, THETA, kinds=("uhlmann",), loop_steps=64)
-        assert calls == [64, 64]
+        assert calls == [64]
 
 
 def delta_gamma_u_at(lam, r, theta, steps, rank_eps=1e-8):
@@ -592,10 +593,11 @@ class TestComputePhases:
         assert wrap_angle(rec.gamma_u_pair - 2 * rec.gamma_u_single) == pytest.approx(
             rec.delta_gamma_u, abs=1e-12)
 
+    # the single site is evaluated in closed form, with no decomposition
     @pytest.mark.parametrize("kinds,expected", [
-        (("interferometric",), [4, 2]),
-        (("uhlmann",), [4, 2]),
-        (("interferometric", "uhlmann"), [4, 2, 4, 2]),
+        (("interferometric",), [4]),
+        (("uhlmann",), [4]),
+        (("interferometric", "uhlmann"), [4, 4]),
     ])
     def test_one_decomposition_per_state_and_kind(self, monkeypatch, kinds, expected):
         shapes = []
@@ -873,14 +875,18 @@ class TestFullTurnSign:
     @pytest.mark.parametrize("state", ["single", "pair"])
     def test_uhlmann_phase_equals_product_form(self, state, lam, steps):
         rho = pair_or_single(state, lam)
-        gammas, step_errors = product_form_uhlmann(rho, STACK_THETAS, steps)
+        gammas, step_errors, visibility = product_form_uhlmann(rho, STACK_THETAS, steps)
+        # one ulp of a trace moves its phase by eps / |trace|: 8e-15 on the
+        # pair at lambda = 1 and theta = pi/2, where |trace| = 0.0274 (6.2e-15
+        # measured); 1e-14 where |trace| >= 0.1, and 1e-15 / |trace| below
+        bound = 1e-14 * np.maximum(1, 0.1 / visibility)
         stacked = uhlmann_phase(rho, LoopSpec(theta=STACK_THETAS, steps=steps))
         floats = [uhlmann_phase(rho, LoopSpec(theta=t, steps=steps)) for t in STACK_THETAS]
         for phase, step_error in ((stacked.phase, stacked.convergence_estimate),
                                   ([x.phase for x in floats],
                                    [x.convergence_estimate for x in floats])):
-            assert np.abs(wrap_angle(np.subtract(phase, gammas))).max() <= 1e-14
-            assert np.abs(np.subtract(step_error, step_errors)).max() <= 1e-14
+            assert np.all(np.abs(wrap_angle(np.subtract(phase, gammas))) <= bound)
+            assert np.all(np.abs(np.subtract(step_error, step_errors)) <= bound)
 
     @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("state", ["single", "pair"])
