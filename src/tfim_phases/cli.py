@@ -144,12 +144,12 @@ def _config_from_file(path):
 
 def _write_svg(records, path, column):
     """SVG of column; with no value to draw (every row a status row) the
-    sweep still succeeds, so say so and write none."""
-    _, get = Y_COLUMNS[column]
-    if all(get(rec) is None for rec in records):
-        print(f"no records carry a value for {column!r}; SVG not written")
+    sweep still succeeds, so print emit_svg's error and write none."""
+    try:
+        emit_svg(records, path, y_column=column)
+    except ValueError as exc:
+        print(f"{exc}; SVG not written")
         return
-    emit_svg(records, path, y_column=column)
     print(f"wrote {path}")
 
 

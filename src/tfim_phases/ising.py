@@ -101,8 +101,7 @@ ERROR_FLOOR = 1e-12
 def check_quad_tol(quad_tol):
     """Raise ValueError unless quad_tol > 0 (NaN fails), and QuadratureError
     if it is below ERROR_FLOOR, which the closed form cannot meet."""
-    if not quad_tol > 0:
-        raise ValueError(f"quad_tol must be > 0, got {quad_tol}")
+    require("quad_tol", quad_tol, lambda x: x > 0, "> 0")
     if quad_tol < ERROR_FLOOR:
         raise QuadratureError(f"quad_tol {quad_tol:.3e} is below the error floor "
                               f"{ERROR_FLOOR:g} of the closed form", ERROR_FLOOR)
@@ -126,15 +125,48 @@ _OUTWARD_LOG_GROWTH = 6.0
 _MILLER_LOG_DECAY = 37.0
 
 
-def require_integer(name, value):
+def require_integer(name, value, low=None):
     """Raise ValueError naming the field unless value is an integer, that is,
-    a non-bool that operator.index accepts (so 2.0, "2" and True are refused)."""
+    a non-bool that operator.index accepts (so 2.0, "2" and True are refused),
+    and, given low, one >= low."""
     try:
         if isinstance(value, (bool, np.bool_)):
             raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def require(name, value, holds, rule):
+    """Raise ValueError "name must be rule, got value" unless holds(value) is
+    true; a value that holds cannot compare, such as a str or None, fails."""
+    try:
+        if holds(value):
+            return
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_coupling(name, lam):
+    """Raise ValueError naming the field unless lam is finite and >= 0 (NaN fails)."""
+    require(name, lam, lambda x: 0 <= x < np.inf, "finite and >= 0")
+
+
+def check_separations(name, r_seq):
+    """The separations of the sequence r_seq as a tuple of ints; raise
+    ValueError naming the field unless there is one at least and each is an
+    integer within [1, MAX_SEPARATION]."""
+    r_seq = tuple(r_seq)
+    if not r_seq:
+        raise ValueError(f"need at least one {name}, from a non-empty sequence")
+    for r in r_seq:
+        require_integer(name, r, 1)
+        if r > MAX_SEPARATION:
+            raise ValueError(f"{name} must be <= 1e4, got {r}")
+    return tuple(map(operator.index, r_seq))
 
 
 @dataclass(frozen=True)
@@ -144,8 +176,7 @@ class CouplingRatio:
     lam: float
 
     def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        check_coupling("lam", self.lam)
 
 
 @dataclass(frozen=True)
@@ -159,8 +190,7 @@ class Correlators:
     c_zz: float
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"separation r must be >= 1, got {self.r}")
+        check_separations("r", (self.r,))
         for name in ("m", "c_xx", "c_yy", "c_zz"):
             val = getattr(self, name)
             if not abs(val) <= 1 + BOUND_SLACK:
@@ -251,7 +281,7 @@ def toeplitz_element(k, params: CouplingRatio):
         raise ValueError(f"k must be an integer or an integer array, got {k!r}")
     n = max(int(np.abs(ks).max(initial=0)), 1)
     if n > MAX_SEPARATION:
-        raise ValueError(f"|r| must be <= 1e4, got {n}")
+        raise ValueError(f"|k| must be <= 1e4, got {n}")
     g = (_series(-n - 1, n - 1, 1 / params.lam)[::-1] if params.lam > 1
          else _series(-n, n, params.lam))
     return g[ks + n] if ks.ndim else float(g[ks + n])
@@ -277,14 +307,7 @@ def correlators(r, params):
     bounds, the call raises for the whole stack.
     """
     r_stack = np.ndim(r) > 0
-    r_seq = list(r) if r_stack else [r]
-    for x in r_seq:
-        require_integer("r", x)
-        if x < 1:
-            raise ValueError(f"r must be >= 1, got {x}")
-    if not r_seq:
-        raise ValueError("r must be an integer or a non-empty sequence of integers")
-    r_seq = [operator.index(x) for x in r_seq]
+    r_seq = check_separations("r", r if r_stack else (r,))
     couplings = [params] if isinstance(params, CouplingRatio) else list(params)
     n = max(r_seq)
     # G_k of the l-th coupling at g[l, k + n], read-only

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficientError, VisibilityError
-from .ising import CouplingRatio, Correlators, correlators
+from .ising import CouplingRatio, Correlators, correlators, require
 from .linalg import (
     antihermitian_eigen,
     hermitian_eigen,
@@ -99,6 +99,20 @@ _VISIBILITY_EPS = 1e-12
 
 # A state whose smallest eigenvalue is below this has no Uhlmann phase.
 RANK_EPS = 1e-8
+
+
+def check_kinds(name, kinds):
+    """kinds as a tuple; raise ValueError naming the field unless it is a
+    non-empty sequence of names from KINDS."""
+    kinds_seq = tuple(kinds) if np.iterable(kinds) else (kinds,)
+    if not kinds_seq or any(k not in KINDS for k in kinds_seq):
+        raise ValueError(f"{name} must be a non-empty subset of {KINDS}, got {kinds!r}")
+    return kinds_seq
+
+
+def check_rank_eps(name, rank_eps):
+    """Raise ValueError naming the field unless rank_eps > 0 (NaN fails)."""
+    require(name, rank_eps, lambda x: x > 0, "> 0")
 
 
 def wrap_angle(x):
@@ -392,11 +406,9 @@ def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
     a sweep computes them for all its couplings at once; without it they
     are computed here, from lam and r.
     """
-    if not kinds or any(k not in KINDS for k in kinds):
-        raise ValueError(f"kinds must be a non-empty subset of {KINDS}, got {tuple(kinds)}")
+    kinds = check_kinds("kinds", kinds)
     loop = LoopSpec(theta=np.atleast_1d(theta), steps=loop_steps)
-    if not rank_eps > 0:
-        raise ValueError(f"rank_eps must be > 0, got {rank_eps}")
+    check_rank_eps("rank_eps", rank_eps)
     if corr is not None and corr.r != r:
         raise ValueError(f"corr holds the correlators at r = {corr.r}, not at r = {r}")
     c = correlators(r, CouplingRatio(lam)) if corr is None else corr

@@ -39,6 +39,24 @@ MIN_LOOP_STEPS = 16
 _PSD_FLOOR = -1e-10
 
 
+def check_theta(name, theta):
+    """theta, a float or a 1-D sequence of floats, as a float or a tuple of
+    floats; raise ValueError naming the field unless there is one at least and
+    each is in [0, pi] (NaN fails)."""
+    values = np.asarray(theta)
+    if values.ndim > 1 or values.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be a float or a 1-D float sequence, got {theta!r}")
+    bad = [t for t in np.atleast_1d(values).tolist() if not 0 <= t <= np.pi]
+    if bad or not values.size:
+        raise ValueError(f"{name} must be in [0, pi], got {', '.join(map(str, bad)) or 'none'}")
+    return tuple(map(float, values)) if values.ndim else float(values)
+
+
+def check_loop_steps(name, steps):
+    """Raise ValueError naming the field unless steps is an integer >= MIN_LOOP_STEPS."""
+    require_integer(name, steps, MIN_LOOP_STEPS)
+
+
 @dataclass(frozen=True)
 class LoopSpec:
     """Fixed polar angle theta (a float, or a tuple of floats from a 1-D
@@ -48,16 +66,8 @@ class LoopSpec:
     steps: int = 2000
 
     def __post_init__(self):
-        theta = np.asarray(self.theta)
-        if theta.ndim > 1 or theta.dtype.kind not in "biuf":
-            raise ValueError(f"theta must be a float or a 1-D float sequence, got {self.theta!r}")
-        object.__setattr__(self, "theta", tuple(map(float, theta)) if theta.ndim else float(theta))
-        bad = [t for t in np.atleast_1d(theta).tolist() if not 0 <= t <= np.pi]
-        if bad or not theta.size:
-            raise ValueError(f"theta must be in [0, pi], got {', '.join(map(str, bad)) or 'none'}")
-        require_integer("steps", self.steps)
-        if self.steps < MIN_LOOP_STEPS:
-            raise ValueError(f"steps must be >= {MIN_LOOP_STEPS}, got {self.steps}")
+        object.__setattr__(self, "theta", check_theta("theta", self.theta))
+        check_loop_steps("steps", self.steps)
 
 
 def single_site_state(m: float) -> np.ndarray:

@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import ising
 from .errors import RankDeficientError, UnphysicalStateError, VisibilityError
-from .ising import MAX_SEPARATION, CouplingRatio, check_quad_tol, require_integer
-from .phases import KINDS, RANK_EPS, PhaseRecord, compute_phases
-from .states import MIN_LOOP_STEPS, LoopSpec
+from .ising import (CouplingRatio, check_coupling, check_quad_tol, check_separations,
+                    require_integer)
+from .phases import KINDS, RANK_EPS, PhaseRecord, check_kinds, check_rank_eps, compute_phases
+from .states import LoopSpec, check_loop_steps, check_theta
 
 __all__ = [
     "SweepConfig",
@@ -34,18 +36,20 @@ __all__ = [
     "Y_COLUMNS",
 ]
 
-# CSV columns 4-11 in order, each with the phase kind that fills it and its
-# getter; each of them can also be the y axis of an SVG.
+# CSV columns 4-11 in order, each with the phase kind that fills it and the
+# SweepRecord attribute that holds it; each can also be the y axis of an SVG.
 Y_COLUMNS = {
-    "gamma_int_2site": ("interferometric", lambda x: x.record.gamma_int_pair),
-    "gamma_int_1site": ("interferometric", lambda x: x.record.gamma_int_single),
-    "delta_gamma": ("interferometric", lambda x: x.record.delta_gamma),
-    "delta_gamma_unwrapped": ("interferometric", lambda x: x.delta_gamma_unwrapped),
-    "gamma_u_2site": ("uhlmann", lambda x: x.record.gamma_u_pair),
-    "gamma_u_1site": ("uhlmann", lambda x: x.record.gamma_u_single),
-    "delta_gamma_u": ("uhlmann", lambda x: x.record.delta_gamma_u),
-    "delta_gamma_u_unwrapped": ("uhlmann", lambda x: x.delta_gamma_u_unwrapped),
+    "gamma_int_2site": ("interferometric", "record.gamma_int_pair"),
+    "gamma_int_1site": ("interferometric", "record.gamma_int_single"),
+    "delta_gamma": ("interferometric", "record.delta_gamma"),
+    "delta_gamma_unwrapped": ("interferometric", "delta_gamma_unwrapped"),
+    "gamma_u_2site": ("uhlmann", "record.gamma_u_pair"),
+    "gamma_u_1site": ("uhlmann", "record.gamma_u_single"),
+    "delta_gamma_u": ("uhlmann", "record.delta_gamma_u"),
+    "delta_gamma_u_unwrapped": ("uhlmann", "delta_gamma_u_unwrapped"),
 }
+# a SweepRecord's values in these columns, as one tuple
+_y_values = operator.attrgetter(*(attr for _, attr in Y_COLUMNS.values()))
 
 CSV_HEADER = ",".join(["lambda", "r", "theta", *Y_COLUMNS, "steps", "quad_tol", "status"])
 
@@ -65,34 +69,17 @@ class SweepConfig:
     output_path: str = ""
 
     def __post_init__(self):
-        for name in ("r_list", "theta_list", "kinds"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not 0 <= self.lambda_min < np.inf:
-            raise ValueError(f"lambda_min must be finite and >= 0, got {self.lambda_min}")
-        if not np.isfinite(self.lambda_max):
-            raise ValueError(f"lambda_max must be finite, got {self.lambda_max}")
+        check_coupling("lambda_min", self.lambda_min)
+        check_coupling("lambda_max", self.lambda_max)
         if self.lambda_max < self.lambda_min:
             raise ValueError("lambda_max must be >= lambda_min")
-        require_integer("lambda_steps", self.lambda_steps)
-        if self.lambda_steps < 1:
-            raise ValueError(f"lambda_steps must be >= 1, got {self.lambda_steps}")
-        for r in self.r_list:
-            require_integer("r_list entry", r)
-        if not self.r_list or any(not 1 <= r <= MAX_SEPARATION for r in self.r_list):
-            raise ValueError(f"r_list must be non-empty with entries in [1, {MAX_SEPARATION}]")
-        if not self.theta_list:
-            raise ValueError("theta_list must be non-empty")
-        bad_theta = [t for t in self.theta_list if not 0 <= t <= np.pi]
-        if bad_theta:
-            raise ValueError(f"theta_list entries must be in [0, pi], got {bad_theta}")
-        if not self.kinds or any(k not in KINDS for k in self.kinds):
-            raise ValueError(f"kinds must be a non-empty subset of {KINDS}")
-        require_integer("loop_steps", self.loop_steps)
-        if self.loop_steps < MIN_LOOP_STEPS:
-            raise ValueError(f"loop_steps must be >= {MIN_LOOP_STEPS}, got {self.loop_steps}")
+        require_integer("lambda_steps", self.lambda_steps, 1)
+        object.__setattr__(self, "r_list", check_separations("r_list entry", self.r_list))
+        object.__setattr__(self, "theta_list", check_theta("theta_list", tuple(self.theta_list)))
+        object.__setattr__(self, "kinds", check_kinds("kinds", self.kinds))
+        check_loop_steps("loop_steps", self.loop_steps)
         check_quad_tol(self.quad_tol)
-        if not self.rank_eps > 0:
-            raise ValueError(f"rank_eps must be > 0, got {self.rank_eps}")
+        check_rank_eps("rank_eps", self.rank_eps)
 
     def lambda_grid(self):
         return np.linspace(self.lambda_min, self.lambda_max, self.lambda_steps)
@@ -223,8 +210,7 @@ def _fmt(x):
 
 
 def _row_fields(rec: SweepRecord, quad_tol):
-    return [_fmt(rec.lam), str(rec.r), _fmt(rec.theta),
-            *(_fmt(get(rec)) for _, get in Y_COLUMNS.values()),
+    return [_fmt(rec.lam), str(rec.r), _fmt(rec.theta), *map(_fmt, _y_values(rec)),
             str(rec.record.steps_used), _fmt(quad_tol), rec.status]
 
 
@@ -253,21 +239,15 @@ def read_csv(path):
         if len(f) != len(names):
             raise ValueError(f"expected {len(names)} fields, got {len(f)}: {ln!r}")
         row = dict(zip(names, f))
-        rec = PhaseRecord(
-            gamma_int_pair=_parse(row["gamma_int_2site"]),
-            gamma_int_single=_parse(row["gamma_int_1site"]),
-            delta_gamma=_parse(row["delta_gamma"]),
-            gamma_u_pair=_parse(row["gamma_u_2site"]),
-            gamma_u_single=_parse(row["gamma_u_1site"]),
-            delta_gamma_u=_parse(row["delta_gamma_u"]),
-            steps_used=int(row["steps"]),
-        )
+        phase, own = {}, {}
+        for column, (_, attr) in Y_COLUMNS.items():
+            holder, _, name = attr.rpartition(".")
+            (phase if holder else own)[name] = _parse(row[column])
         quad_tol = float(row["quad_tol"]) if row["quad_tol"] else quad_tol
         records.append(SweepRecord(
-            lam=float(row["lambda"]), r=int(row["r"]), theta=float(row["theta"]), record=rec,
-            status=row["status"],
-            delta_gamma_unwrapped=_parse(row["delta_gamma_unwrapped"]),
-            delta_gamma_u_unwrapped=_parse(row["delta_gamma_u_unwrapped"]),
+            lam=float(row["lambda"]), r=int(row["r"]), theta=float(row["theta"]),
+            record=PhaseRecord(**phase, steps_used=int(row["steps"])), status=row["status"],
+            **own,
         ))
     return records, quad_tol
 
@@ -284,11 +264,11 @@ def emit_svg(records, path, y_column="delta_gamma_unwrapped"):
     """Render one polyline per (r, theta) family as a standalone SVG."""
     if y_column not in Y_COLUMNS:
         raise ValueError(f"unknown y_column {y_column!r}; choose from {sorted(Y_COLUMNS)}")
-    _, getter = Y_COLUMNS[y_column]
+    get = operator.attrgetter(Y_COLUMNS[y_column][1])
 
     families = {}
     for rec in records:
-        y = getter(rec)
+        y = get(rec)
         if y is not None:
             families.setdefault((rec.r, rec.theta), []).append((rec.lam, y))
     if not families:

@@ -1,3 +1,4 @@
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -7,8 +8,9 @@ import pytest
 from tfim_phases import cli, ising, phases, sweep
 from tfim_phases.cli import main
 from tfim_phases.errors import RankDeficientError, UnphysicalStateError
-from tfim_phases.ising import CouplingRatio
+from tfim_phases.ising import CouplingRatio, correlators
 from tfim_phases.phases import PhaseRecord, compute_phases, wrap_angle
+from tfim_phases.states import LoopSpec
 from tfim_phases.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -458,7 +460,79 @@ class TestPresets:
             preset("badname")
 
 
+class _Reached(Exception):
+    """Raised in place of the first piece of work, once every check has passed."""
+
+
+def _entries(value):
+    """A sequence field's value: a list as it is, anything else as the one entry."""
+    return value if isinstance(value, list) else (value,)
+
+
+# Each input rule at its two entry points: (SweepConfig field, a config with
+# the value there, the library's name for it, the library call with the value,
+# values accepted, values refused).  Each bound comes with the value one step
+# past it; rank_eps has an open bound at 0.
+INPUT_RULES = {
+    "theta": ("theta_list", lambda v: SweepConfig(theta_list=_entries(v)),
+              "theta", lambda v: LoopSpec(theta=v),
+              (0.0, np.pi), (-5e-324, np.nextafter(np.pi, 4))),
+    "loop_steps": ("loop_steps", lambda v: SweepConfig(loop_steps=v),
+                   "steps", lambda v: LoopSpec(theta=THETA, steps=v), (16,), (15,)),
+    "kinds": ("kinds", lambda v: SweepConfig(kinds=_entries(v)),
+              "kinds", lambda v: compute_phases(0.5, 1, THETA, kinds=v),
+              (["uhlmann"],), (["uhlman"],)),
+    "rank_eps": ("rank_eps", lambda v: SweepConfig(rank_eps=v),
+                 "rank_eps", lambda v: compute_phases(0.5, 1, THETA, rank_eps=v),
+                 (5e-324,), (0.0,)),
+    "lambda_min": ("lambda_min", lambda v: SweepConfig(lambda_min=v),
+                   "lam", CouplingRatio, (0.0,), (-5e-324,)),
+    "lambda_max": ("lambda_max", lambda v: SweepConfig(lambda_min=0.0, lambda_max=v),
+                   "lam", CouplingRatio, (0.0,), (-5e-324,)),
+    "r": ("r_list", lambda v: SweepConfig(r_list=_entries(v)),
+          "r", lambda v: correlators(v, CouplingRatio(0.5)), (1, 10**4), (0, 10**4 + 1)),
+}
+
+
+def _input_rule_cases():
+    for rule, (*_, accepted, refused) in INPUT_RULES.items():
+        for value in accepted:
+            yield pytest.param(rule, value, True, id=f"{rule}-accepts-{value!r}")
+        for value in refused:
+            yield pytest.param(rule, value, False, id=f"{rule}-refuses-{value!r}")
+        for value in ("0.5", None, np.nan, np.inf, -np.inf, [[accepted[0]] * 2]):
+            yield pytest.param(rule, value, None, id=f"{rule}-{value!r}")
+
+
+def _outcome(call, value, label):
+    """True if call(value) passes its checks; False if it raises a ValueError
+    whose message starts with label, the field it names."""
+    try:
+        call(value)
+    except _Reached:
+        pass
+    except ValueError as exc:
+        assert re.match(rf"{label}\b", str(exc)), exc
+        return False
+    return True
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("rule,value,accepted", _input_rule_cases())
+    def test_config_and_library_apply_one_rule(self, monkeypatch, rule, value, accepted):
+        """Both entry points of a rule accept a value, or both raise a
+        ValueError that names their own field, before any work; at a bound,
+        as expected."""
+        def reached(*args, **kwargs):
+            raise _Reached
+
+        monkeypatch.setattr(phases, "correlators", reached)
+        monkeypatch.setattr(ising, "toeplitz_element", reached)
+        field, config_call, name, library_call, *_ = INPUT_RULES[rule]
+        config_accepts = _outcome(config_call, value, field)
+        assert _outcome(library_call, value, name) == config_accepts
+        assert accepted in (None, config_accepts)
+
     def test_bad_configs(self):
         with pytest.raises(ValueError):
             SweepConfig(lambda_min=-0.1)
