@@ -5,13 +5,16 @@ The kernels are eigen-level primitives: ``hermitian_eigen``,
 ``antihermitian_eigen`` and ``unitary_eigen``, which carry the input checks,
 and ``spectral_matrix``, which builds a function of a matrix from its
 decomposition.  ``hermitian_part`` is ``hermitian_eigen``'s check and
-symmetrization alone, for the closed forms of a 2x2 state.  A caller that needs only the spectrum (as the Uhlmann kernel
+symmetrization alone, for the closed forms of a 2x2 state; ``parity_blocks``
+is the closed-form spectrum of a 4x4 matrix that conserves Z parity, for those
+of the pair.  A caller that needs only the spectrum (as the Uhlmann kernel
 does for its traces) gets it from the same decomposition that a matrix
 function of it would use, bitwise.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +61,22 @@ def hermitian_eigen(m):
     blocks, inverse = _PARITY_ORDER[h.shape[0]]
     w, v = np.linalg.eigh(h[blocks])
     return HermitianEigen(w, v[inverse])
+
+
+def parity_blocks(h):
+    """The spectrum of a Hermitian 4x4 matrix h in closed form, if h conserves
+    Z parity: for its even block, on |00> and |11>, then its odd block, on
+    |01> and |10>, the trace t, the half-difference d of the diagonal and
+    R = hypot(d, |off-diagonal|), so that the block's eigenvalues are t/2 +- R.
+    None if an entry of h outside the two blocks is nonzero."""
+    rows = h.tolist()
+    (h00, h01, h02, h03), (h10, h11, h12, h13), (h20, _, h22, h23), (_, h31, h32, h33) = rows
+    if h01 or h02 or h10 or h13 or h20 or h23 or h31 or h32:
+        return None
+    d_even = (h00.real - h33.real) / 2
+    d_odd = (h11.real - h22.real) / 2
+    return ((h00.real + h33.real, d_even, math.hypot(d_even, abs(h03))),
+            (h11.real + h22.real, d_odd, math.hypot(d_odd, abs(h12))))
 
 
 def _dagger(m):

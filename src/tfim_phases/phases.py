@@ -4,8 +4,9 @@ Two notions are implemented for both the single-site and two-site reduced
 states.  Since U(phi) = e^{K phi} U(0), with K diagonal and the full turn
 e^{2 pi K} the exact sign FULL_TURN_SIGN[dim], each uses no loop unitary
 but U(0), which states.start_unitary builds once per theta (or theta stack)
-and dimension.  On the 4x4 pair each takes one eigendecomposition
-rho = v p v^dag, whose eigenvectors the loop carries to w = U(0) v:
+and dimension.  On a general 4x4 state each is defined from the
+eigendecomposition rho = v p v^dag, whose eigenvectors the loop carries to
+w = U(0) v; the Uhlmann kernel takes one such decomposition of the pair:
 
 * the interferometric phase: argument of the eigenvalue-weighted sum of loop
   amplitudes <w_n|e^{2 pi K}|w_n> with the connection phase
@@ -29,13 +30,17 @@ A 2x2 state takes no decomposition: both kernels evaluate it in closed form
 from its Bloch vector (see _single_site_interferometric and
 _single_site_uhlmann), per theta in math scalars, after the same
 Hermiticity, rank and visibility checks.  There the step factor lies in
-SU(2), so its power is exact in closed form.  uhlmann_holonomy and
-uhlmann_connection stay spectral on both dimensions.
+SU(2), so its power is exact in closed form.  The interferometric phase of
+a 4x4 state that conserves Z parity, as every pair state does, takes none
+either: it is evaluated in closed form from the state's two parity blocks
+(linalg.parity_blocks, see _pair_interferometric), and only a 4x4 state
+with an entry between the blocks takes the spectral path.
+uhlmann_holonomy and uhlmann_connection stay spectral on both dimensions.
 
 Each kernel follows numpy's shape rule in theta (the Uhlmann kernel's
 LoopSpec.theta): a float gives floats, and a 1-D sequence, evaluated as one
-stack of loops from the one decomposition (on one site, the one Bloch
-vector), gives arrays of its length.
+stack of loops from the one decomposition (in closed form, the one Bloch
+vector or the one pair of parity blocks), gives arrays of its length.
 Every failure is raised, for a stack as for a float: a VisibilityError if
 any amplitude or trace vanishes, naming the smallest.
 
@@ -65,6 +70,7 @@ from .linalg import (
     antihermitian_eigen,
     hermitian_eigen,
     hermitian_part,
+    parity_blocks,
     spectral_matrix,
     unitary_eigen,
 )
@@ -156,10 +162,14 @@ def interferometric_phase_from_eigen(p, v, theta):
 
 def interferometric_phase(rho, theta):
     """Interferometric phase of a 2x2 or 4x4 density matrix along the loop,
-    shaped like theta: in closed form on a 2x2 state, as from the eigen form
-    on the pair."""
+    shaped like theta: in closed form on a 2x2 state and on a 4x4 state that
+    conserves Z parity, as every pair state does; from the eigen form on a
+    4x4 state with an entry that mixes the parities."""
     if np.shape(rho) == (2, 2):
         return _single_site_interferometric(rho, theta)
+    blocks = parity_blocks(hermitian_part(rho))
+    if blocks is not None:
+        return _pair_interferometric(blocks, theta)
     eig = hermitian_eigen(rho)
     return interferometric_phase_from_eigen(eig.values, eig.vectors, theta)
 
@@ -324,6 +334,24 @@ def _single_site_interferometric(rho, theta):
     return _phases(np.array(amplitudes).reshape(shape))
 
 
+def _pair_interferometric(blocks, theta):
+    """interferometric_phase of a 4x4 state from its parity_blocks, in closed
+    form (Sjoqvist et al., PRL 85, 2845 (2000)): U(0) turns <K> of the even
+    block's eigenvectors, of weights t_e / 2 +- R, into +-i cos(theta) d / R,
+    and of the odd block's into 0, so with phi = 2 pi cos(theta) d / R and the
+    full-turn sign +1 the amplitude is t_o + t_e cos(phi) - 2 i R sin(phi).
+    At R = 0 the even block is degenerate, and phi = 0.  Each theta is
+    evaluated on its own in math scalars, as in _polar_angles."""
+    (t_even, d, radius), (t_odd, _, _) = blocks
+    ratio = d / radius if radius else 0.0
+    theta = np.asarray(theta, dtype=float)
+    amplitudes = []
+    for x in theta.ravel().tolist():
+        phi = 2 * math.pi * math.cos(x) * ratio
+        amplitudes.append(complex(t_odd + t_even * math.cos(phi), -2 * radius * math.sin(phi)))
+    return _phases(np.array(amplitudes).reshape(theta.shape))
+
+
 def _single_site_uhlmann(rho, loop: LoopSpec, rank_eps) -> UhlmannResult:
     """uhlmann_phase of a 2x2 state, in closed form.
 
@@ -400,8 +428,9 @@ def compute_phases(lam, r, theta, kinds=KINDS, loop_steps=LoopSpec.steps,
     the kernels, then those of each kernel (rank, Hermiticity, and a
     vanishing visibility, which belongs to one theta of a stack); sweep
     drivers map errors to status rows.  kinds, theta, loop_steps and rank_eps
-    are checked before any work, for every kind.  Each requested kind
-    decomposes the pair once and evaluates the single site in closed form.
+    are checked before any work, for every kind.  The Uhlmann kind
+    decomposes the pair once; everything else, the pair's positivity check
+    included, is evaluated in closed form.
     corr gives the Correlators of (lam, r), as
     a sweep computes them for all its couplings at once; without it they
     are computed here, from lam and r.

@@ -15,12 +15,14 @@ keeps its U(0) of recent theta values in a small bounded cache.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnphysicalStateError
 from .ising import BOUND_SLACK, Correlators, require_integer
+from .linalg import parity_blocks
 
 __all__ = [
     "LoopSpec",
@@ -79,7 +81,9 @@ def single_site_state(m: float) -> np.ndarray:
 
 
 def two_site_state(c: Correlators) -> np.ndarray:
-    """X-shaped two-site density matrix built from the correlator set."""
+    """X-shaped two-site density matrix built from the correlator set; its
+    smallest eigenvalue, checked against _PSD_FLOOR, is read from the
+    closed-form spectrum of its two Z-parity blocks (linalg.parity_blocks)."""
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = (1 + 2 * c.m + c.c_zz) / 4
     rho[1, 1] = (1 - c.c_zz) / 4
@@ -87,8 +91,10 @@ def two_site_state(c: Correlators) -> np.ndarray:
     rho[3, 3] = (1 - 2 * c.m + c.c_zz) / 4
     rho[0, 3] = rho[3, 0] = (c.c_xx - c.c_yy) / 4
     rho[1, 2] = rho[2, 1] = (c.c_xx + c.c_yy) / 4
-    # eigvalsh of a NaN entry gives garbage or raises, so NaN is carried past it
-    min_eig = float(np.linalg.eigvalsh(rho)[0]) if np.isfinite(rho).all() else np.nan
+    # each parity block's smaller eigenvalue in closed form; min drops a NaN
+    # that does not come first, so NaN is carried past it
+    floors = [t / 2 - radius for t, _, radius in parity_blocks(rho)]
+    min_eig = math.nan if any(map(math.isnan, floors)) else min(floors)
     if not min_eig >= _PSD_FLOOR:
         raise UnphysicalStateError(
             f"correlator set gives min eigenvalue {min_eig:.3e} < {_PSD_FLOOR:g}"

@@ -74,6 +74,11 @@ class SweepConfig:
         if self.lambda_max < self.lambda_min:
             raise ValueError("lambda_max must be >= lambda_min")
         require_integer("lambda_steps", self.lambda_steps, 1)
+        for name in ("r_list", "theta_list"):
+            # a str would be split into its characters
+            value = getattr(self, name)
+            if isinstance(value, str) or not np.iterable(value):
+                raise ValueError(f"{name} must be a sequence, got {value!r}")
         object.__setattr__(self, "r_list", check_separations("r_list entry", self.r_list))
         object.__setattr__(self, "theta_list", check_theta("theta_list", tuple(self.theta_list)))
         object.__setattr__(self, "kinds", check_kinds("kinds", self.kinds))

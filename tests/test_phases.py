@@ -593,11 +593,12 @@ class TestComputePhases:
         assert wrap_angle(rec.gamma_u_pair - 2 * rec.gamma_u_single) == pytest.approx(
             rec.delta_gamma_u, abs=1e-12)
 
-    # the single site is evaluated in closed form, with no decomposition
+    # the single site, the pair's interferometric phase and the pair's
+    # positivity check are evaluated in closed form, with no decomposition
     @pytest.mark.parametrize("kinds,expected", [
-        (("interferometric",), [4]),
+        (("interferometric",), []),
         (("uhlmann",), [4]),
-        (("interferometric", "uhlmann"), [4, 4]),
+        (("interferometric", "uhlmann"), [4]),
     ])
     def test_one_decomposition_per_state_and_kind(self, monkeypatch, kinds, expected):
         shapes = []
@@ -606,8 +607,18 @@ class TestComputePhases:
             shapes.append(np.shape(m)[0])
             return hermitian_eigen(m, *args, **kwargs)
 
+        def no_eigensolver(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        def pair_state(c):
+            with pytest.MonkeyPatch.context() as mp:
+                for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+                    mp.setattr(np.linalg, name, no_eigensolver)
+                return two_site_state(c)
+
         monkeypatch.setattr(phases, "hermitian_eigen", counting_eigen)
         monkeypatch.setattr(linalg, "hermitian_eigen", counting_eigen)
+        monkeypatch.setattr(phases, "two_site_state", pair_state)
         compute_phases(1.5, 1, THETA, kinds=kinds, loop_steps=64)
         assert shapes == expected
 

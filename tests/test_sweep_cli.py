@@ -502,6 +502,20 @@ def _input_rule_cases():
             yield pytest.param(rule, value, False, id=f"{rule}-refuses-{value!r}")
         for value in ("0.5", None, np.nan, np.inf, -np.inf, [[accepted[0]] * 2]):
             yield pytest.param(rule, value, None, id=f"{rule}-{value!r}")
+        for value in WHOLE_FIELD_VALUES.get(rule, ()):
+            yield pytest.param(rule, _Whole(value), False, id=f"{rule}-whole-{value!r}")
+
+
+# Values given as the whole of a sequence field, where SweepConfig refuses
+# anything but a sequence of entries.  The library takes one value there, so
+# these cases call only the config.
+WHOLE_FIELD_VALUES = {"theta": (THETA, "0.5", None), "kinds": ("uhlmann", None),
+                      "r": (3, "3", None)}
+
+
+class _Whole:
+    def __init__(self, value):
+        self.value = value
 
 
 def _outcome(call, value, label):
@@ -522,13 +536,17 @@ class TestConfigValidation:
     def test_config_and_library_apply_one_rule(self, monkeypatch, rule, value, accepted):
         """Both entry points of a rule accept a value, or both raise a
         ValueError that names their own field, before any work; at a bound,
-        as expected."""
+        as expected.  A single value or a str given as a whole sequence field,
+        the config refuses."""
         def reached(*args, **kwargs):
             raise _Reached
 
         monkeypatch.setattr(phases, "correlators", reached)
         monkeypatch.setattr(ising, "toeplitz_element", reached)
         field, config_call, name, library_call, *_ = INPUT_RULES[rule]
+        if isinstance(value, _Whole):
+            assert not _outcome(lambda v: SweepConfig(**{field: v}), value.value, field)
+            return
         config_accepts = _outcome(config_call, value, field)
         assert _outcome(library_call, value, name) == config_accepts
         assert accepted in (None, config_accepts)
